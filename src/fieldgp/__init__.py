@@ -9,7 +9,7 @@ pseudo-observation baseline and benchmark harnesses for simulated and
 CSV data round out the package.
 """
 
-from .baseline import AugmentedProblem, augment, predict_augmented
+from .baseline import augment, predict_augmented
 from .checks import ConstraintCheckReport, check_kernel_constraint
 from .experiments import (ExperimentConfig, FieldErrorTable, RmseReport, RmseRow,
                           emit_report, load_field_csv, parse_rmse_csv,
@@ -17,13 +17,12 @@ from .experiments import (ExperimentConfig, FieldErrorTable, RmseReport, RmseRow
                           simulated_field, synthetic_curl_free_field,
                           write_field_csv)
 from .gp import (Dataset, FitResult, GpModel, JitterPolicy, NotPositiveDefinite,
-                 OptConfig, PredictionResult, assemble_gram, cholesky_jitter,
-                 cross_gram, fit_gp, fit_hyperparameters, log_marginal_likelihood,
-                 model_to_json_dict, predict)
+                 ObservationBlock, OptConfig, PredictionResult, assemble_gram,
+                 cholesky_jitter, cross_gram, fit_gp, fit_hyperparameters,
+                 log_marginal_likelihood, model_to_json_dict, predict)
 from .kernels import (MAX_DERIVATIVE_ORDER, CurlFreeKernel, DerivativeMultiIndex,
                       DerivativeOrderError, DiagonalKernel, MatrixKernelExpr,
                       SeHyperparams, SumKernel, apply_operator_to_expr,
-                      curl_free_closed_form, diagonal_kernel, eval_matrix_kernel,
                       kernel_from_spec, se_derivative, se_eval, transform_kernel)
 from .operators import (MIXED, AnsatzBasis, AnsatzSystem, DimensionMismatch,
                         GammaSolution, NoAnnihilatorFound, OperatorMatrix,

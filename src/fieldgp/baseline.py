@@ -3,46 +3,23 @@
 Instead of building the constraint into the covariance, the operator F
 is observed to be zero at a chosen set of points: the GP is conditioned
 jointly on the real data and on artificial observations of the
-transformed field F[f] with zero targets and zero noise.  The constraint
-then holds only at those points, and the joint Gram matrix grows with
-their number and loses conditioning because the added block is
-noiseless, which is why the factorization jitter is surfaced rather than
-hidden.
+transformed field F[f] with zero targets and zero noise.  These are
+linear observations of f, so conditioning on them is ordinary GP
+conditioning on one extra observation block (see :func:`fieldgp.gp.fit_gp`).
+The constraint then holds only at those points, and the joint Gram
+matrix grows with their number and loses conditioning because the added
+block is noiseless, which is why the factorization jitter is surfaced
+rather than hidden.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
-from .gp import (DEFAULT_JITTER, PredictionResult, _clamp_variances,
-                 cholesky_jitter, cross_gram)
+from .gp import DEFAULT_JITTER, ObservationBlock, fit_gp, predict
 from .kernels import MatrixKernelExpr, apply_operator_to_expr
 
 
-class AugmentedProblem:
-    """GP conditioned on data plus zero-valued observations of F[f]."""
-
-    def __init__(self, data, F, constraint_points, kernel, L, alpha, jitter,
-                 cross_expr):
-        self.data = data
-        self.F = F
-        self.constraint_points = constraint_points
-        self.kernel = kernel
-        self.L = L
-        self.alpha = alpha
-        self.jitter = jitter
-        self._cross_expr = cross_expr  # cov(f(x), F[f](x')): out_dim x rows(F)
-
-    @property
-    def n_constraints(self):
-        return self.constraint_points.shape[0] * self.F.rows
-
-    @property
-    def joint_dim(self):
-        return self.data.n_points * self.data.out_dim + self.n_constraints
-
-
 def augment(data, F, points, kernel, jitter_policy=DEFAULT_JITTER):
-    """Build the joint model over data and constraint pseudo-observations.
+    """Fit the GP jointly on data and constraint pseudo-observations.
 
     Parameters
     ----------
@@ -51,8 +28,10 @@ def augment(data, F, points, kernel, jitter_policy=DEFAULT_JITTER):
     kernel : MatrixKernelExpr prior covariance of the field; an explicit
         expression is required so F can be applied to its arguments.
 
-    The constraint rows carry no noise; conditioning issues are handled
-    by the global jitter policy and the jitter used is recorded.
+    Returns a :class:`fieldgp.gp.GpModel`; its ``joint_dim`` counts the
+    data rows plus Nc * rows(F) constraint rows.  The constraint rows
+    carry no noise; conditioning issues are handled by the global jitter
+    policy and the jitter used is recorded.
     """
     if not isinstance(kernel, MatrixKernelExpr):
         raise TypeError("augment needs an explicit MatrixKernelExpr kernel")
@@ -60,44 +39,17 @@ def augment(data, F, points, kernel, jitter_policy=DEFAULT_JITTER):
         raise ValueError(
             f"F has {F.cols} columns but the field has {data.out_dim} components")
     points = np.asarray(points, dtype=float).reshape(-1, data.in_dim)
-
-    k_dd = cross_gram(kernel, data.inputs, data.inputs)
-    k_dd = k_dd + data.noise_std ** 2 * np.eye(k_dd.shape[0])
-    cross_expr = apply_operator_to_expr(F, kernel, side="right")
-    if points.shape[0]:
-        k_dc = cross_gram(cross_expr, data.inputs, points)
-        constraint_expr = apply_operator_to_expr(F, cross_expr, side="left")
-        k_cc = cross_gram(constraint_expr, points, points)
-        joint = np.block([[k_dd, k_dc], [k_dc.T, k_cc]])
-    else:
-        joint = k_dd
-    L, jitter = cholesky_jitter(joint, jitter_policy)
-    y_joint = np.concatenate([data.y_flat, np.zeros(points.shape[0] * F.rows)])
-    alpha = cho_solve((L, True), y_joint)
-    return AugmentedProblem(data, F, points, kernel, L, alpha, jitter, cross_expr)
+    cross = apply_operator_to_expr(F, kernel, side="right")    # cov(f, F[f])
+    prior = apply_operator_to_expr(F, cross, side="left")      # cov(F[f], F[f])
+    return fit_gp(data, kernel, jitter_policy=jitter_policy,
+                  block=ObservationBlock(cross, prior, points))
 
 
-def predict_augmented(problem, Xstar, full_cov=False):
-    """GP posterior at new points under the augmented model."""
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    k_out = problem.data.out_dim
-    c_data = cross_gram(problem.kernel, Xstar, problem.data.inputs)
-    if problem.constraint_points.shape[0]:
-        c_constr = cross_gram(problem._cross_expr, Xstar, problem.constraint_points)
-        C = np.hstack([c_data, c_constr])
-    else:
-        C = c_data
-    means = (C @ problem.alpha).reshape(Xstar.shape[0], k_out)
-    v = solve_triangular(problem.L, C.T, lower=True)
-    prior_diag = np.concatenate([
-        np.diag(problem.kernel.eval(x, x)) for x in Xstar])
-    variances = _clamp_variances(prior_diag - np.sum(v * v, axis=0))
-    covariance = None
-    if full_cov:
-        prior_full = cross_gram(problem.kernel, Xstar, Xstar)
-        covariance = prior_full - v.T @ v
-    return PredictionResult(
-        means=means,
-        marginal_variances=variances.reshape(Xstar.shape[0], k_out),
-        covariance=covariance,
-    )
+def predict_augmented(model, Xstar, full_cov=False):
+    """Posterior of an :func:`augment` model: exactly :func:`fieldgp.gp.predict`.
+
+    Kept as its own name only because the benchmark's traced run
+    (``perfbench/spans.py``) wraps ``fieldgp.baseline.predict_augmented``
+    to time pseudo-observation predictions apart from the others.
+    """
+    return predict(model, Xstar, full_cov)

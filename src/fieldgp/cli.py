@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import check_kernel_constraint
 from .experiments import (ExperimentConfig, emit_report, load_field_csv,
-                          run_real_data, run_simulated)
+                          read_csv_columns, run_real_data, run_simulated)
 from .gp import Dataset, OptConfig, fit_gp, fit_hyperparameters, predict
 from .kernels import SeHyperparams, kernel_from_spec, transform_kernel
 from .operators import NoAnnihilatorFound, OperatorMatrix, construct_g
@@ -174,6 +174,7 @@ def _print_report(report, paths):
 
 def _cmd_predict(args):
     X, B = load_field_csv(args.data)
+    points = read_csv_columns(args.points, [f"x{i + 1}" for i in range(X.shape[1])])
     spec = _load_json(args.kernel_spec)
     theta = SeHyperparams.from_dict(spec.get("hyperparams", {}))
     data = Dataset(X, B, noise_std=float(np.sqrt(theta.noise_variance)))
@@ -187,25 +188,10 @@ def _cmd_predict(args):
         kernel = family(fit.theta)
         data = Dataset(X, B, noise_std=float(np.sqrt(fit.theta.noise_variance)))
     model = fit_gp(data, kernel)
-    points, _ = _load_points(args.points, data.in_dim)
     result = predict(model, points)
     _write_predictions(args.out, points, result)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _load_points(path, dim):
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        cols = [header.index(f"x{i + 1}") for i in range(dim)
-                if f"x{i + 1}" in header]
-        if len(cols) != dim:
-            raise _UsageError(f"{path}: need columns x1..x{dim}")
-        pts = [[float(row[c]) for c in cols] for row in reader if row]
-    return np.array(pts), header
 
 
 def _write_predictions(path, points, result):

@@ -6,7 +6,9 @@ grid with a diagonal kernel, a constraint-transformed kernel, and a
 diagonal kernel augmented with artificial constraint observations, and
 reports root-mean-square errors per method.  The real-data pipeline runs
 the analogous comparison for 3-D curl-free fields (e.g. magnetic-field
-maps) on a CSV dataset with repeated random train/test splits.
+maps) on a CSV dataset with repeated random train/test splits.  Both
+share one per-repetition loop and differ only in their data draw,
+constraint operator and constrained kernel.
 
 All randomness is derived from one seed, so reports are reproducible
 byte for byte.  Wall-clock timing is off by default for the same reason
@@ -182,11 +184,6 @@ class _Collector:
         self.rmse = {}
         self.jitter = {}
         self.seconds = {}
-        self.attempts = {}
-
-    def start(self, key):
-        self.attempts[key] = self.attempts.get(key, 0) + 1
-        return time.perf_counter()
 
     def ok(self, key, t0, rmse_value, jitter, record_timing):
         elapsed = (time.perf_counter() - t0) if record_timing else 0.0
@@ -234,95 +231,20 @@ def run_simulated(config):
     G, _ = construct_g(divergence)
     grid = prediction_grid(config.domain, config.grid_size)
     truth = simulated_field(grid, config.field_param_a)
-    n_grid = grid.shape[0]
-    noise_var = config.noise_std ** 2
+    lows = np.array([lo for lo, _ in config.domain])
+    highs = np.array([hi for _, hi in config.domain])
 
-    collector = _Collector()
-    field_errors = {}
-    rep_seeds = np.random.SeedSequence(config.seed).spawn(config.repetitions)
-    for rep, rep_seed in enumerate(rep_seeds):
-        rng = np.random.default_rng(rep_seed)
-        lows = np.array([lo for lo, _ in config.domain])
-        highs = np.array([hi for _, hi in config.domain])
+    def draw(rng):
         X = rng.uniform(lows, highs, size=(config.n_train, 2))
         Y = simulated_field(X, config.field_param_a) \
             + rng.normal(0.0, config.noise_std, size=(config.n_train, 2))
-        data = Dataset(X, Y, noise_std=config.noise_std)
-        opt = OptConfig(restarts=config.restarts, maxiter=config.maxiter,
-                        learn_noise=config.learn_noise,
-                        seed=int(rng.integers(2 ** 31)))
+        return Dataset(X, Y, noise_std=config.noise_std), grid, truth
 
-        theta_diag = None
-        if "diagonal" in config.methods or "artificial" in config.methods:
-            key = ("diagonal", 0)
-            t0 = collector.start(key)
-            try:
-                fit = fit_hyperparameters(
-                    data, lambda th: DiagonalKernel(th, 2),
-                    _init_theta(data, noise_var), opt)
-                theta_diag = fit.theta
-                model = fit_gp(data, DiagonalKernel(fit.theta, 2),
-                               noise_variance=fit.theta.noise_variance)
-                pred = predict(model, grid)
-                if "diagonal" in config.methods:
-                    collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
-                                 config.record_timing)
-                    if rep == 0:
-                        field_errors["diagonal"] = pred.means - truth
-            except _FAILURES as exc:
-                collector.fail(key, rep, exc)
-
-        if "constrained" in config.methods:
-            key = ("constrained", 0)
-            t0 = collector.start(key)
-            try:
-                fit = fit_hyperparameters(
-                    data, lambda th: transform_kernel(G, th),
-                    _init_theta(data, noise_var, derivative_kernel=True),
-                    replace(opt, seed=int(rng.integers(2 ** 31))))
-                model = fit_gp(data, transform_kernel(G, fit.theta),
-                               noise_variance=fit.theta.noise_variance)
-                pred = predict(model, grid)
-                collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
-                             config.record_timing)
-                if rep == 0:
-                    field_errors["constrained"] = pred.means - truth
-            except _FAILURES as exc:
-                collector.fail(key, rep, exc)
-
-        if "artificial" in config.methods and theta_diag is not None:
-            expr = DiagonalKernel(theta_diag, 2).as_expr(2)
-            data_aug = Dataset(X, Y, noise_std=float(
-                np.sqrt(theta_diag.noise_variance)))
-            for nc in config.nc_schedule:
-                key = ("artificial", nc)
-                t0 = collector.start(key)
-                try:
-                    pts = grid[rng.choice(n_grid, size=min(nc, n_grid),
-                                          replace=False)]
-                    problem = augment(data_aug, divergence, pts, expr)
-                    pred = predict_augmented(problem, grid)
-                    collector.ok(key, t0, rmse(pred.means, truth),
-                                 problem.jitter, config.record_timing)
-                    if rep == 0 and nc == max(config.nc_schedule):
-                        field_errors[f"artificial_nc{nc}"] = pred.means - truth
-                except _FAILURES as exc:
-                    collector.fail(key, rep, exc)
-
+    collector, field_errors = _run_repetitions(
+        config, draw, divergence, "constrained",
+        lambda th: transform_kernel(G, th), derivative_prior=True)
     table = FieldErrorTable(points=grid, errors=field_errors) if field_errors else None
     return RmseReport(rows=collector.rows(keys), field_error=table)
-
-
-def _result_keys(config, known_methods):
-    keys = []
-    for method in config.methods:
-        if method not in known_methods:
-            raise ValueError(f"unknown method {method!r}; expected {known_methods}")
-        if method == "artificial":
-            keys.extend(("artificial", nc) for nc in config.nc_schedule)
-        else:
-            keys.append((method, 0))
-    return keys
 
 
 def run_real_data(config, dataset_path):
@@ -339,18 +261,51 @@ def run_real_data(config, dataset_path):
     if X.shape[0] < needed:
         raise ValueError(
             f"dataset has {X.shape[0]} rows; need train+test = {needed}")
-    curl = make_curl_operator_3d()
-    noise_var = config.noise_std ** 2
 
-    collector = _Collector()
-    rep_seeds = np.random.SeedSequence(config.seed).spawn(config.repetitions)
-    for rep, rep_seed in enumerate(rep_seeds):
-        rng = np.random.default_rng(rep_seed)
+    def draw(rng):
         perm = rng.permutation(X.shape[0])
         train_idx = perm[:config.train_size]
         test_idx = perm[config.train_size:needed]
         data = Dataset(X[train_idx], B[train_idx], noise_std=config.noise_std)
-        X_test, B_test = X[test_idx], B[test_idx]
+        return data, X[test_idx], B[test_idx]
+
+    collector, _ = _run_repetitions(
+        config, draw, make_curl_operator_3d(), "curl_free", CurlFreeKernel,
+        derivative_prior=False)
+    return RmseReport(rows=collector.rows(keys))
+
+
+def _result_keys(config, known_methods):
+    keys = []
+    for method in config.methods:
+        if method not in known_methods:
+            raise ValueError(f"unknown method {method!r}; expected {known_methods}")
+        if method == "artificial":
+            keys.extend(("artificial", nc) for nc in config.nc_schedule)
+        else:
+            keys.append((method, 0))
+    return keys
+
+
+def _run_repetitions(config, draw, F, constrained, constrained_family,
+                     derivative_prior):
+    """The per-repetition loop both pipelines share.
+
+    ``draw(rng)`` returns (training Dataset, prediction points, true
+    field there).  Per repetition: diagonal fit, ``constrained`` fit with
+    ``constrained_family``, then the diagonal fit conditioned on F[f] = 0
+    at a random subset of the prediction points for each nc, drawing from
+    rng in that order.  Returns the collector and the first repetition's
+    signed errors by label.
+    """
+    noise_var = config.noise_std ** 2
+    collector = _Collector()
+    field_errors = {}
+    rep_seeds = np.random.SeedSequence(config.seed).spawn(config.repetitions)
+    for rep, rep_seed in enumerate(rep_seeds):
+        rng = np.random.default_rng(rep_seed)
+        data, points, truth = draw(rng)
+        k, dim = data.out_dim, data.in_dim
         opt = OptConfig(restarts=config.restarts, maxiter=config.maxiter,
                         learn_noise=config.learn_noise,
                         seed=int(rng.integers(2 ** 31)))
@@ -358,55 +313,62 @@ def run_real_data(config, dataset_path):
         theta_diag = None
         if "diagonal" in config.methods or "artificial" in config.methods:
             key = ("diagonal", 0)
-            t0 = collector.start(key)
+            t0 = time.perf_counter()
             try:
                 fit = fit_hyperparameters(
-                    data, lambda th: DiagonalKernel(th, 3),
+                    data, lambda th: DiagonalKernel(th, k),
                     _init_theta(data, noise_var), opt)
                 theta_diag = fit.theta
-                model = fit_gp(data, DiagonalKernel(fit.theta, 3),
+                model = fit_gp(data, DiagonalKernel(fit.theta, k),
                                noise_variance=fit.theta.noise_variance)
-                pred = predict(model, X_test)
+                pred = predict(model, points)
                 if "diagonal" in config.methods:
-                    collector.ok(key, t0, rmse(pred.means, B_test), model.jitter,
+                    collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
                                  config.record_timing)
+                    if rep == 0:
+                        field_errors["diagonal"] = pred.means - truth
             except _FAILURES as exc:
                 collector.fail(key, rep, exc)
 
-        if "curl_free" in config.methods:
-            key = ("curl_free", 0)
-            t0 = collector.start(key)
+        if constrained in config.methods:
+            key = (constrained, 0)
+            t0 = time.perf_counter()
             try:
                 fit = fit_hyperparameters(
-                    data, CurlFreeKernel, _init_theta(data, noise_var),
+                    data, constrained_family,
+                    _init_theta(data, noise_var, derivative_kernel=derivative_prior),
                     replace(opt, seed=int(rng.integers(2 ** 31))))
-                model = fit_gp(data, CurlFreeKernel(fit.theta),
+                model = fit_gp(data, constrained_family(fit.theta),
                                noise_variance=fit.theta.noise_variance)
-                pred = predict(model, X_test)
-                collector.ok(key, t0, rmse(pred.means, B_test), model.jitter,
+                pred = predict(model, points)
+                collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
                              config.record_timing)
+                if rep == 0:
+                    field_errors[constrained] = pred.means - truth
             except _FAILURES as exc:
                 collector.fail(key, rep, exc)
 
         if "artificial" in config.methods and theta_diag is not None:
-            expr = DiagonalKernel(theta_diag, 3).as_expr(3)
-            data_aug = Dataset(X[train_idx], B[train_idx], noise_std=float(
+            expr = DiagonalKernel(theta_diag, k).as_expr(dim)
+            data_aug = Dataset(data.inputs, data.outputs, noise_std=float(
                 np.sqrt(theta_diag.noise_variance)))
+            n_points = points.shape[0]
             for nc in config.nc_schedule:
                 key = ("artificial", nc)
-                t0 = collector.start(key)
+                t0 = time.perf_counter()
                 try:
-                    pts = X_test[rng.choice(config.test_size,
-                                            size=min(nc, config.test_size),
+                    pts = points[rng.choice(n_points, size=min(nc, n_points),
                                             replace=False)]
-                    problem = augment(data_aug, curl, pts, expr)
-                    pred = predict_augmented(problem, X_test)
-                    collector.ok(key, t0, rmse(pred.means, B_test),
-                                 problem.jitter, config.record_timing)
+                    model = augment(data_aug, F, pts, expr)
+                    pred = predict_augmented(model, points)
+                    collector.ok(key, t0, rmse(pred.means, truth),
+                                 model.jitter, config.record_timing)
+                    if rep == 0 and nc == max(config.nc_schedule):
+                        field_errors[f"artificial_nc{nc}"] = pred.means - truth
                 except _FAILURES as exc:
                     collector.fail(key, rep, exc)
 
-    return RmseReport(rows=collector.rows(keys))
+    return collector, field_errors
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +380,16 @@ FIELD_CSV_COLUMNS = ("x1", "x2", "x3", "b1", "b2", "b3")
 
 def load_field_csv(path):
     """Load position/field data from a CSV with header x1,x2,x3,b1,b2,b3."""
+    arr = read_csv_columns(path, FIELD_CSV_COLUMNS)
+    return arr[:, :3], arr[:, 3:]
+
+
+def read_csv_columns(path, columns):
+    """The named columns of a headed CSV file as an (N, len(columns)) float array.
+
+    Raises ValueError naming the file for an empty file, a header
+    without the columns, a short or non-numeric row, or no data rows.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -426,10 +398,10 @@ def load_field_csv(path):
             raise ValueError(f"{path}: empty CSV") from None
         header = [h.strip() for h in header]
         try:
-            cols = [header.index(name) for name in FIELD_CSV_COLUMNS]
+            cols = [header.index(name) for name in columns]
         except ValueError:
             raise ValueError(
-                f"{path}: header must contain columns {FIELD_CSV_COLUMNS}") from None
+                f"{path}: header must contain columns {tuple(columns)}") from None
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -440,8 +412,7 @@ def load_field_csv(path):
                 raise ValueError(f"{path}: bad row at line {lineno}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    arr = np.array(rows)
-    return arr[:, :3], arr[:, 3:]
+    return np.array(rows)
 
 
 def write_field_csv(path, X, B):

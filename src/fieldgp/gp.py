@@ -10,6 +10,7 @@ model so experiments can report it.
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -134,52 +135,85 @@ def cholesky_jitter(M, policy=DEFAULT_JITTER):
     )
 
 
-class GpModel:
-    """A fitted GP: kernel, training data, and the factored Gram matrix."""
+class ObservationBlock(NamedTuple):
+    """Zero-valued, noise-free linear observations L[f] at a set of points.
 
-    def __init__(self, kernel, data, L, alpha, noise_variance, jitter):
+    ``cross`` is the matrix kernel cov(f(x), L[f](x')) and ``prior`` is
+    cov(L[f](x), L[f](x')); ``points`` is (Nc, D).
+    """
+
+    cross: object
+    prior: object
+    points: np.ndarray
+
+
+class GpModel:
+    """A fitted GP: kernel, training data, and the factored joint Gram matrix.
+
+    ``block`` is the :class:`ObservationBlock` conditioned on besides the
+    data, or None; ``L`` and ``alpha`` cover the data rows, then its rows.
+    """
+
+    def __init__(self, kernel, data, L, alpha, noise_variance, jitter, block=None):
         self.kernel = kernel
         self.data = data
         self.L = L
         self.alpha = alpha
         self.noise_variance = noise_variance
         self.jitter = jitter
+        self.block = block
 
     @property
     def theta(self):
         return self.kernel.theta
 
+    @property
+    def joint_dim(self):
+        return self.L.shape[0]
 
-def fit_gp(data, kernel, noise_variance=None, jitter_policy=DEFAULT_JITTER):
-    """Factor the training Gram matrix and solve for the prediction weights."""
+
+def fit_gp(data, kernel, noise_variance=None, jitter_policy=DEFAULT_JITTER, block=None):
+    """Factor the joint Gram matrix and solve for the prediction weights.
+
+    With an :class:`ObservationBlock` the GP is conditioned jointly on
+    the data and on the block's zero-valued observations.
+    """
     if noise_variance is None:
         noise_variance = data.noise_std ** 2
     gram = assemble_gram(kernel, data.inputs, noise_variance)
+    y = data.y_flat
+    if block is not None:
+        k_dc = cross_gram(block.cross, data.inputs, block.points)
+        k_cc = cross_gram(block.prior, block.points, block.points)
+        gram = np.block([[gram, k_dc], [k_dc.T, k_cc]])
+        y = np.concatenate([y, np.zeros(k_cc.shape[0])])
     L, jitter = cholesky_jitter(gram, jitter_policy)
-    alpha = cho_solve((L, True), data.y_flat)
-    return GpModel(kernel, data, L, alpha, noise_variance, jitter)
+    alpha = cho_solve((L, True), y)
+    return GpModel(kernel, data, L, alpha, noise_variance, jitter, block)
 
 
 def log_marginal_likelihood(model):
-    """Gaussian log evidence of the training outputs under the model."""
+    """Gaussian log evidence of the training outputs (and zero-valued blocks)."""
     y = model.data.y_flat
-    n = y.size
     return float(
-        -0.5 * y @ model.alpha
+        -0.5 * y @ model.alpha[:y.size]
         - np.sum(np.log(np.diag(model.L)))
-        - 0.5 * n * LOG_2PI
+        - 0.5 * model.joint_dim * LOG_2PI
     )
 
 
 def predict(model, Xstar, full_cov=False):
     """Posterior mean and marginal variance of the field at new points."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    k_out = model.data.out_dim
+    m, k_out = Xstar.shape[0], model.data.out_dim
     C = cross_gram(model.kernel, Xstar, model.data.inputs)
-    means = (C @ model.alpha).reshape(Xstar.shape[0], k_out)
+    if model.block is not None:
+        C = np.hstack([C, cross_gram(model.block.cross, Xstar, model.block.points)])
+    means = (C @ model.alpha).reshape(m, k_out)
     v = solve_triangular(model.L, C.T, lower=True)
-    prior_diag = np.concatenate([
-        np.diag(model.kernel.eval(x, x)) for x in Xstar])
+    # stationary kernels: k(x, x) is k(0, 0) at every point
+    origin = np.zeros(Xstar.shape[1])
+    prior_diag = np.tile(np.diag(model.kernel.eval(origin, origin)), m)
     variances = prior_diag - np.sum(v * v, axis=0)
     covariance = None
     if full_cov:
@@ -187,7 +221,7 @@ def predict(model, Xstar, full_cov=False):
         covariance = prior_full - v.T @ v
     return PredictionResult(
         means=means,
-        marginal_variances=_clamp_variances(variances).reshape(Xstar.shape[0], k_out),
+        marginal_variances=_clamp_variances(variances).reshape(m, k_out),
         covariance=covariance,
     )
 

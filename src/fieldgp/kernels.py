@@ -125,16 +125,6 @@ def _se_derivative_batch(alpha, beta, diff, theta):
     return sign * theta.signal_variance * ell ** (-order) * value
 
 
-#: Scalar base kernels by id.  Each maps (alpha, beta, diff, theta) to the
-#: mixed partial applied to the kernel; adding a new smooth base kernel
-#: means adding one entry here.
-BASE_KERNELS = {"se": _se_derivative_batch}
-
-
-def _derivative_batch(alpha, beta, diff, theta, base="se"):
-    return BASE_KERNELS[base](alpha, beta, diff, theta)
-
-
 def se_derivative(idx, x, x2, theta):
     """Exact mixed partial derivative of the SE kernel.
 
@@ -147,7 +137,7 @@ def se_derivative(idx, x, x2, theta):
         raise DimensionMismatch("points have different dimensions")
     idx = DerivativeMultiIndex(tuple(idx[0]), tuple(idx[1]))
     idx.validate(dim=x.shape[-1])
-    return float(_derivative_batch(idx.alpha, idx.beta, x - x2, theta))
+    return float(_se_derivative_batch(idx.alpha, idx.beta, x - x2, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +177,6 @@ class MatrixKernelExpr(MatrixKernel):
     "divergence of a divergence-free kernel" reduces to an all-empty grid.
     """
 
-    base_kernel = "se"
-
     def __init__(self, in_dim, entries, theta):
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
@@ -219,10 +207,6 @@ class MatrixKernelExpr(MatrixKernel):
     def is_zero(self):
         return all(not cell for row in self.entries for cell in row)
 
-    def with_theta(self, theta):
-        return MatrixKernelExpr(self.in_dim, [[dict(c) for c in row]
-                                              for row in self.entries], theta)
-
     def eval_pairwise(self, X, X2):
         X = np.asarray(X, dtype=float)
         X2 = np.asarray(X2, dtype=float)
@@ -234,8 +218,8 @@ class MatrixKernelExpr(MatrixKernel):
         for i in range(rows):
             for j in range(cols):
                 for idx, coeff in self.entries[i][j].items():
-                    out[:, :, i, j] += float(coeff) * _derivative_batch(
-                        idx.alpha, idx.beta, diff, self.theta, self.base_kernel)
+                    out[:, :, i, j] += float(coeff) * _se_derivative_batch(
+                        idx.alpha, idx.beta, diff, self.theta)
         return out
 
 
@@ -346,25 +330,6 @@ def transform_kernel(G, theta, per_column_thetas=None):
 def _transform_single_column(G, c, theta):
     column = OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)])
     return transform_kernel(column, theta)
-
-
-def eval_matrix_kernel(expr, x, x2):
-    """Numeric value of a matrix kernel at one pair of points."""
-    return expr.eval(x, x2)
-
-
-def curl_free_closed_form(x, x2, theta):
-    """Direct evaluation of the closed-form curl-free kernel at 3-D points."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != (3,) or x2.shape != (3,):
-        raise DimensionMismatch("curl-free kernel expects 3-D points")
-    return CurlFreeKernel(theta).eval(x, x2)
-
-
-def diagonal_kernel(x, x2, theta, K):
-    """Scalar SE kernel value times the KxK identity."""
-    return se_eval(x, x2, theta) * np.eye(K)
 
 
 def apply_operator_to_expr(F, expr, side):

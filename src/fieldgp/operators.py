@@ -50,10 +50,6 @@ class NoAnnihilatorFound(Exception):
 # monomials
 
 
-def monomial_degree(m):
-    return sum(m)
-
-
 def grlex_key(m):
     """Sort key for graded lexicographic order (degree, then x1-major)."""
     return (sum(m), tuple(-e for e in m))
@@ -468,10 +464,6 @@ class AnsatzSystem:
     @property
     def ncols(self):
         return len(self.col_index)
-
-    @property
-    def nrows(self):
-        return len(self.matrix)
 
     def as_array(self):
         if not self.matrix:

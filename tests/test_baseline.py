@@ -5,7 +5,8 @@ import pytest
 
 from fieldgp.baseline import augment, predict_augmented
 from fieldgp.experiments import simulated_field
-from fieldgp.gp import Dataset, cross_gram, fit_gp, predict
+from fieldgp.gp import (Dataset, cross_gram, fit_gp, log_marginal_likelihood,
+                        predict)
 from fieldgp.kernels import (DiagonalKernel, SeHyperparams,
                              apply_operator_to_expr, transform_kernel)
 from fieldgp.operators import (OperatorMatrix, OperatorPoly, construct_g,
@@ -64,6 +65,27 @@ def test_matches_dense_conditioning_oracle(rng):
         mean, var = dense_conditioning_oracle(data, F, pts, expr, Xs)
         assert np.max(np.abs(pred.means - mean)) <= 1e-6
         assert np.max(np.abs(pred.marginal_variances - var)) <= 1e-6
+
+
+def test_lml_counts_pseudo_observations(rng):
+    # evidence of the data and the zero pseudo-observations under the joint Gram
+    F = make_divergence_operator(2)
+    expr = DiagonalKernel(THETA, 2).as_expr(2)
+    X = rng.uniform(0, 3, size=(6, 2))
+    data = Dataset(X, rng.standard_normal((6, 2)), noise_std=0.1)
+    pts = rng.uniform(0, 3, size=(4, 2))
+    model = augment(data, F, pts, expr)
+    cross = apply_operator_to_expr(F, expr, side="right")
+    k_dc = cross_gram(cross, X, pts)
+    k_oo = np.block([
+        [cross_gram(expr, X, X) + 0.01 * np.eye(12), k_dc],
+        [k_dc.T, cross_gram(apply_operator_to_expr(F, cross, side="left"), pts, pts)]])
+    y = np.concatenate([data.y_flat, np.zeros(4)])
+    dense = (-0.5 * y @ np.linalg.solve(k_oo, y)
+             - 0.5 * np.linalg.slogdet(k_oo)[1]
+             - 0.5 * y.size * np.log(2 * np.pi))
+    assert model.jitter == 0.0
+    assert log_marginal_likelihood(model) == pytest.approx(dense, rel=1e-8)
 
 
 def test_constraint_enforced_pointwise(rng):

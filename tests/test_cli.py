@@ -216,6 +216,32 @@ def test_predict_end_to_end(tmp_path):
     assert np.all(values[:, 6:] >= 0)  # variances
 
 
+@pytest.mark.parametrize("content", [
+    "",                                   # empty file
+    "x1,x2,x3\n",                         # header only
+    "x1,x2,x3\n1.0,1.0,1.0\n2.0,2.0\n",   # ragged row
+    "x1,x2,x3\n1.0,one,1.0\n",            # non-numeric value
+], ids=["empty", "header_only", "ragged", "non_numeric"])
+def test_predict_bad_points_file_exit_1(tmp_path, content):
+    X, B = synthetic_curl_free_field(10, seed=4)
+    data = tmp_path / "train.csv"
+    write_field_csv(data, X, B)
+    spec = write_json(tmp_path / "kernel.json", {
+        "type": "curl_free_3d",
+        "hyperparams": {"signal_variance": 1.0, "length_scale": 1.0,
+                        "noise_variance": 1e-6}})
+    points = tmp_path / "points.csv"
+    points.write_text(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldgp.cli", "predict", "--data", str(data),
+         "--kernel-spec", spec, "--points", str(points),
+         "--out", str(tmp_path / "pred.csv"), "--no-fit"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert str(points) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # usage errors and the installed entry point
 

@@ -239,7 +239,23 @@ def test_run_simulated_records_timing_when_asked():
     assert any(row.seconds > 0 for row in report.rows)
 
 
-def test_run_simulated_counts_failures(monkeypatch):
+def _tiny_real_data(tmp_path):
+    X, B = synthetic_curl_free_field(50, seed=17, noise_std=1e-3)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, X, B)
+    config = ExperimentConfig(methods=("diagonal",), train_size=20, test_size=20,
+                              repetitions=2, restarts=1, maxiter=15, noise_std=1e-3)
+    return lambda: run_real_data(config, path), config
+
+
+def _tiny_simulated(tmp_path):
+    config = ExperimentConfig(**{**TINY_SIM, "methods": ("diagonal",)})
+    return lambda: run_simulated(config), config
+
+
+@pytest.mark.parametrize("pipeline", [_tiny_simulated, _tiny_real_data],
+                         ids=["run_simulated", "run_real_data"])
+def test_pipeline_counts_failures(monkeypatch, tmp_path, pipeline):
     calls = {"n": 0}
     real_fit = experiments.fit_hyperparameters
 
@@ -250,8 +266,8 @@ def test_run_simulated_counts_failures(monkeypatch):
         return real_fit(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "fit_hyperparameters", flaky_fit)
-    config = ExperimentConfig(**{**TINY_SIM, "methods": ("diagonal",)})
-    report = run_simulated(config)
+    run, config = pipeline(tmp_path)
+    report = run()
     assert report.rows[0].n_ok == config.repetitions - 1
 
 

@@ -13,9 +13,6 @@ from fieldgp.kernels import (
     SeHyperparams,
     SumKernel,
     apply_operator_to_expr,
-    curl_free_closed_form,
-    diagonal_kernel,
-    eval_matrix_kernel,
     kernel_from_spec,
     se_derivative,
     se_eval,
@@ -175,8 +172,8 @@ def test_matrix_kernel_symmetry(rng):
     expr = transform_kernel(G, THETA)
     for _ in range(20):
         x, x2 = rng.normal(size=2), rng.normal(size=2)
-        a = eval_matrix_kernel(expr, x, x2)
-        b = eval_matrix_kernel(expr, x2, x)
+        a = expr.eval(x, x2)
+        b = expr.eval(x2, x)
         assert np.allclose(a, b.T, rtol=0, atol=1e-15)
 
 
@@ -219,7 +216,7 @@ def test_eval_pairwise_matches_pointwise(rng):
 
 def test_curl_free_closed_form_zero_displacement():
     x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(curl_free_closed_form(x, x, THETA),
+    assert np.allclose(CurlFreeKernel(THETA).eval(x, x),
                        THETA.signal_variance * np.eye(3))
 
 
@@ -228,7 +225,7 @@ def test_curl_free_closed_form_matches_transformed(rng):
     ls2 = THETA.length_scale ** 2
     for _ in range(100):
         x, x2 = rng.normal(size=3), rng.normal(size=3)
-        closed = curl_free_closed_form(x, x2, THETA)
+        closed = CurlFreeKernel(THETA).eval(x, x2)
         derived = ls2 * expr.eval(x, x2)
         assert np.max(np.abs(closed - derived)) <= 1e-10 * np.max(np.abs(closed))
 
@@ -236,17 +233,17 @@ def test_curl_free_closed_form_matches_transformed(rng):
 def test_curl_free_closed_form_decay():
     x = np.zeros(3)
     far = np.array([50.0, 0.0, 0.0])
-    assert np.max(np.abs(curl_free_closed_form(x, far, THETA))) < 1e-200
+    assert np.max(np.abs(CurlFreeKernel(THETA).eval(x, far))) < 1e-200
 
 
 def test_diagonal_kernel_values(rng):
     x = rng.normal(size=2)
-    assert np.allclose(diagonal_kernel(x, x, THETA, 2),
+    assert np.allclose(DiagonalKernel(THETA, 2).eval(x, x),
                        THETA.signal_variance * np.eye(2))
     x2 = rng.normal(size=2)
-    k = diagonal_kernel(x, x2, THETA, 3)
+    k = DiagonalKernel(THETA, 3).eval(x, x2)
     assert k[0, 1] == k[1, 0] == k[0, 2] == 0.0
-    assert diagonal_kernel(x, x2, THETA, 1)[0, 0] == pytest.approx(
+    assert DiagonalKernel(THETA, 1).eval(x, x2)[0, 0] == pytest.approx(
         se_eval(x, x2, THETA))
 
 
@@ -280,10 +277,8 @@ def test_apply_operator_divergence_on_diagonal(rng):
     for _ in range(5):
         x, x2 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         got = applied.eval(x, x2)
-        fd = fd_operator_rows(F, lambda p: np.diag(diagonal_kernel(p, x2, THETA, 2)),
-                              x, h=1e-5)
-        # fd gives rows of F applied to the column (k, k); compare entrywise
-        scalar = lambda p, c: diagonal_kernel(p, x2, THETA, 2)[:, c]
+        # rows of F applied to each kernel column, compared entrywise
+        scalar = lambda p, c: DiagonalKernel(THETA, 2).eval(p, x2)[:, c]
         for c in range(2):
             fd_c = fd_operator_rows(F, lambda p: scalar(p, c), x, h=1e-5)
             assert got[0, c] == pytest.approx(float(fd_c[0]), rel=1e-6, abs=1e-9)
