@@ -18,6 +18,7 @@ and can be enabled per config.
 import csv
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -388,7 +389,8 @@ def read_csv_columns(path, columns):
     """The named columns of a headed CSV file as an (N, len(columns)) float array.
 
     Raises ValueError naming the file for an empty file, a header
-    without the columns, a short or non-numeric row, or no data rows.
+    without the columns, a short, non-numeric or non-finite row, or no
+    data rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -407,9 +409,12 @@ def read_csv_columns(path, columns):
             if not row:
                 continue
             try:
-                rows.append([float(row[c]) for c in cols])
+                values = [float(row[c]) for c in cols]
             except (ValueError, IndexError):
                 raise ValueError(f"{path}: bad row at line {lineno}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: non-finite value at line {lineno}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows)

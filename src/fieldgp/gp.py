@@ -89,12 +89,12 @@ def assemble_gram(kernel, X, noise_variance=0.0):
     """Block Gram matrix of a matrix kernel with noise on the diagonal."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     k = kernel.eval_pairwise(X, X)
-    n, _, r, c = k.shape
+    n, r, _, c = k.shape
     if r != c:
         raise ValueError("Gram assembly needs a square kernel")
-    gram = k.transpose(0, 2, 1, 3).reshape(n * r, n * r)
+    gram = k.reshape(n * r, n * r)
     if noise_variance:
-        gram = gram + noise_variance * np.eye(n * r)
+        gram[np.diag_indices(n * r)] += noise_variance
     return gram
 
 
@@ -103,8 +103,8 @@ def cross_gram(kernel, X1, X2):
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     X2 = np.atleast_2d(np.asarray(X2, dtype=float))
     k = kernel.eval_pairwise(X1, X2)
-    n1, n2, r, c = k.shape
-    return k.transpose(0, 2, 1, 3).reshape(n1 * r, n2 * c)
+    n1, r, n2, c = k.shape
+    return k.reshape(n1 * r, n2 * c)
 
 
 def cholesky_jitter(M, policy=DEFAULT_JITTER):
@@ -210,15 +210,16 @@ def predict(model, Xstar, full_cov=False):
     if model.block is not None:
         C = np.hstack([C, cross_gram(model.block.cross, Xstar, model.block.points)])
     means = (C @ model.alpha).reshape(m, k_out)
-    v = solve_triangular(model.L, C.T, lower=True)
-    # stationary kernels: k(x, x) is k(0, 0) at every point
-    origin = np.zeros(Xstar.shape[1])
-    prior_diag = np.tile(np.diag(model.kernel.eval(origin, origin)), m)
-    variances = prior_diag - np.sum(v * v, axis=0)
+    # C is not used again: the solve and the square reuse its memory
+    v = solve_triangular(model.L, C.T, lower=True, overwrite_b=True)
     covariance = None
     if full_cov:
         prior_full = cross_gram(model.kernel, Xstar, Xstar)
         covariance = prior_full - v.T @ v
+    # stationary kernels: k(x, x) is k(0, 0) at every point
+    origin = np.zeros(Xstar.shape[1])
+    prior_diag = np.tile(np.diag(model.kernel.eval(origin, origin)), m)
+    variances = prior_diag - np.sum(np.square(v, out=v), axis=0)
     return PredictionResult(
         means=means,
         marginal_variances=_clamp_variances(variances).reshape(m, k_out),

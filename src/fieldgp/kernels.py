@@ -158,12 +158,18 @@ class MatrixKernel:
         return r
 
     def eval_pairwise(self, X, X2):
+        """Kernel matrices of every pair of rows of X (N1, D) and X2 (N2, D).
+
+        Returns the point-major block layout (N1, rows, N2, cols): entry
+        [a, i, b, j] is component (i, j) of k(X[a], X2[b]), so reshaping
+        to (N1*rows, N2*cols) gives the block Gram matrix without a copy.
+        """
         raise NotImplementedError
 
     def eval(self, x, x2):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-        return self.eval_pairwise(x, x2)[0, 0]
+        return self.eval_pairwise(x, x2)[0, :, 0, :]
 
     __call__ = eval
 
@@ -214,11 +220,11 @@ class MatrixKernelExpr(MatrixKernel):
             raise DimensionMismatch("point dimension does not match kernel")
         diff = X[:, None, :] - X2[None, :, :]
         rows, cols = self.shape
-        out = np.zeros((X.shape[0], X2.shape[0], rows, cols))
+        out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
         for i in range(rows):
             for j in range(cols):
                 for idx, coeff in self.entries[i][j].items():
-                    out[:, :, i, j] += float(coeff) * _se_derivative_batch(
+                    out[:, i, :, j] += float(coeff) * _se_derivative_batch(
                         idx.alpha, idx.beta, diff, self.theta)
         return out
 
@@ -239,7 +245,11 @@ class DiagonalKernel(MatrixKernel):
         diff = X[:, None, :] - X2[None, :, :]
         k = self.theta.signal_variance * np.exp(
             -0.5 * np.sum(diff * diff, axis=-1) / self.theta.length_scale ** 2)
-        return k[:, :, None, None] * np.eye(self.shape[0])
+        n_out = self.shape[0]
+        out = np.zeros((X.shape[0], n_out, X2.shape[0], n_out))
+        for i in range(n_out):
+            out[:, i, :, i] = k
+        return out
 
     def as_expr(self, in_dim):
         """The same kernel as an explicit derivative expression (for operator use)."""
@@ -269,10 +279,18 @@ class CurlFreeKernel(MatrixKernel):
         if X.shape[1] != 3 or X2.shape[1] != 3:
             raise DimensionMismatch("curl-free kernel expects 3-D points")
         ell = self.theta.length_scale
-        u = (X[:, None, :] - X2[None, :, :]) / ell
-        k = self.theta.signal_variance * np.exp(-0.5 * np.sum(u * u, axis=-1))
-        outer = u[:, :, :, None] * u[:, :, None, :]
-        return k[:, :, None, None] * (np.eye(3) - outer)
+        u = [(X[:, None, d] - X2[None, :, d]) / ell for d in range(3)]
+        # summed in axis order, as np.sum(u * u, axis=-1) sums three terms
+        k = self.theta.signal_variance * np.exp(
+            -0.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
+        out = np.empty((X.shape[0], 3, X2.shape[0], 3))
+        for a in range(3):
+            out[:, a, :, a] = k * (1.0 - u[a] * u[a])
+            for b in range(a + 1, 3):
+                # 0.0 - t, not -t: an exact zero keeps the sign that I - u u^T gives it
+                out[:, a, :, b] = k * (0.0 - u[a] * u[b])
+                out[:, b, :, a] = out[:, a, :, b]
+        return out
 
 
 class SumKernel(MatrixKernel):

@@ -216,13 +216,17 @@ def test_predict_end_to_end(tmp_path):
     assert np.all(values[:, 6:] >= 0)  # variances
 
 
-@pytest.mark.parametrize("content", [
-    "",                                   # empty file
-    "x1,x2,x3\n",                         # header only
-    "x1,x2,x3\n1.0,1.0,1.0\n2.0,2.0\n",   # ragged row
-    "x1,x2,x3\n1.0,one,1.0\n",            # non-numeric value
-], ids=["empty", "header_only", "ragged", "non_numeric"])
-def test_predict_bad_points_file_exit_1(tmp_path, content):
+@pytest.mark.parametrize("bad_file,content", [
+    ("points", ""),                                   # empty file
+    ("points", "x1,x2,x3\n"),                         # header only
+    ("points", "x1,x2,x3\n1.0,1.0,1.0\n2.0,2.0\n"),   # ragged row
+    ("points", "x1,x2,x3\n1.0,one,1.0\n"),            # non-numeric value
+    ("points", "x1,x2,x3\n1.0,1.0,1.0\nnan,1.0,1.0\n"),   # NaN coordinate
+    ("points", "x1,x2,x3\n1.0,-inf,1.0\n"),               # infinite coordinate
+    ("data", "x1,x2,x3,b1,b2,b3\n0.0,0.0,0.0,1.0,2.0,3.0\n"
+             "1.0,1.0,1.0,inf,0.0,0.0\n"),              # infinite field value
+], ids=["empty", "header_only", "ragged", "non_numeric", "nan", "inf", "data_inf"])
+def test_predict_bad_points_file_exit_1(tmp_path, bad_file, content):
     X, B = synthetic_curl_free_field(10, seed=4)
     data = tmp_path / "train.csv"
     write_field_csv(data, X, B)
@@ -231,15 +235,18 @@ def test_predict_bad_points_file_exit_1(tmp_path, content):
         "hyperparams": {"signal_variance": 1.0, "length_scale": 1.0,
                         "noise_variance": 1e-6}})
     points = tmp_path / "points.csv"
-    points.write_text(content)
+    points.write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    bad = {"points": points, "data": data}[bad_file]
+    bad.write_text(content)
     proc = subprocess.run(
         [sys.executable, "-m", "fieldgp.cli", "predict", "--data", str(data),
          "--kernel-spec", spec, "--points", str(points),
          "--out", str(tmp_path / "pred.csv"), "--no-fit"],
         capture_output=True, text=True)
     assert proc.returncode == 1
-    assert str(points) in proc.stderr
+    assert str(bad) in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

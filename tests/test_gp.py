@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fieldgp.baseline import augment
 from fieldgp.gp import (
     Dataset,
     JitterPolicy,
@@ -240,7 +241,7 @@ def test_fit_all_restarts_fail(rng):
         def eval_pairwise(self, X, X2):
             # negative definite blocks: factorization can never succeed
             k = -np.exp(-((X[:, None, :] - X2[None, :, :]) ** 2).sum(-1))
-            return k[:, :, None, None]
+            return k[:, None, :, None]
 
     data = Dataset(rng.uniform(0, 1, (6, 2)), rng.standard_normal((6, 1)), 0.0)
     with pytest.raises(RuntimeError, match="every restart"):
@@ -322,6 +323,33 @@ def test_predict_full_covariance_consistent(rng):
     assert pred.covariance.shape == (4, 4)
     assert np.allclose(np.diag(pred.covariance),
                        pred.marginal_variances.reshape(-1), atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["plain", "block", "full_cov"])
+def test_predict_leaves_model_unchanged_and_repeats(rng, case):
+    # predict solves and squares in place of its cross-covariance; the
+    # factor, the weights and a second call must not see that
+    X = rng.uniform(0, 3, size=(12, 2))
+    data = Dataset(X, rng.standard_normal((12, 2)), noise_std=0.1)
+    if case == "block":
+        kernel = DiagonalKernel(THETA, 2).as_expr(2)
+        model = augment(data, make_divergence_operator(2),
+                        rng.uniform(0, 3, size=(5, 2)), kernel)
+        assert model.block is not None
+    else:
+        model = fit_gp(data, divfree_kernel())
+    L, alpha = model.L.copy(), model.alpha.copy()
+    Xs = rng.uniform(0, 3, size=(7, 2))
+    full_cov = case == "full_cov"
+    first = predict(model, Xs, full_cov=full_cov)
+    second = predict(model, Xs, full_cov=full_cov)
+    assert np.array_equal(model.L, L) and np.array_equal(model.alpha, alpha)
+    assert np.array_equal(first.means, second.means)
+    assert np.array_equal(first.marginal_variances, second.marginal_variances)
+    if full_cov:
+        assert np.array_equal(first.covariance, second.covariance)
+        assert np.allclose(np.diag(first.covariance),
+                           first.marginal_variances.reshape(-1), rtol=1e-10, atol=1e-12)
 
 
 def test_dataset_validation():

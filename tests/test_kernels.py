@@ -207,7 +207,7 @@ def test_eval_pairwise_matches_pointwise(rng):
     table = expr.eval_pairwise(X, X2)
     for a in range(4):
         for b in range(5):
-            assert np.allclose(table[a, b], expr.eval(X[a], X2[b]), rtol=1e-14)
+            assert np.allclose(table[a, :, b, :], expr.eval(X[a], X2[b]), rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fieldgp import gp, kernels
+from fieldgp.operators import construct_g, make_divergence_operator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,3 +69,27 @@ def test_perfbench_fieldgp_names_resolve():
         if not hasattr(module, name):
             missing.append(f"{filename}: {module_name}.{name}")
     assert not missing, missing
+
+
+def test_gram_builders_call_eval_pairwise_once(monkeypatch):
+    # spans.py times each kernel family through its eval_pairwise; a Gram
+    # builder that bypassed it would leave the kernels.* metrics at zero
+    calls = []
+    for cls in (kernels.CurlFreeKernel, kernels.DiagonalKernel, kernels.MatrixKernelExpr):
+        def counted(self, X, X2, _original=cls.eval_pairwise, _cls=cls):
+            calls.append(_cls)
+            return _original(self, X, X2)
+        monkeypatch.setattr(cls, "eval_pairwise", counted)
+
+    theta = kernels.SeHyperparams(1.0, 0.8)
+    G, _ = construct_g(make_divergence_operator(3))
+    cases = ((kernels.CurlFreeKernel, kernels.CurlFreeKernel(theta)),
+             (kernels.DiagonalKernel, kernels.DiagonalKernel(theta, 3)),
+             (kernels.MatrixKernelExpr, kernels.transform_kernel(G, theta)))
+    X = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+    for cls, kernel in cases:
+        for build in (lambda: gp.assemble_gram(kernel, X, 0.1),
+                      lambda: gp.cross_gram(kernel, X, X[:3])):
+            calls.clear()
+            build()
+            assert calls == [cls]
