@@ -19,7 +19,7 @@ from .experiments import (ExperimentConfig, FieldErrorTable, RmseReport, RmseRow
 from .gp import (Dataset, FitResult, GpModel, JitterPolicy, NotPositiveDefinite,
                  ObservationBlock, OptConfig, PredictionResult, assemble_gram,
                  cholesky_jitter, cross_gram, fit_gp, fit_hyperparameters,
-                 log_marginal_likelihood, model_to_json_dict, predict)
+                 log_marginal_likelihood, predict)
 from .kernels import (MAX_DERIVATIVE_ORDER, CurlFreeKernel, DerivativeMultiIndex,
                       DerivativeOrderError, DiagonalKernel, MatrixKernelExpr,
                       SeHyperparams, SumKernel, apply_operator_to_expr,

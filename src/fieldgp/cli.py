@@ -176,14 +176,12 @@ def _cmd_predict(args):
     X, B = load_field_csv(args.data)
     points = read_csv_columns(args.points, [f"x{i + 1}" for i in range(X.shape[1])])
     spec = _load_json(args.kernel_spec)
-    theta = SeHyperparams.from_dict(spec.get("hyperparams", {}))
-    data = Dataset(X, B, noise_std=float(np.sqrt(theta.noise_variance)))
-    if args.no_fit:
-        kernel = kernel_from_spec(spec, default_out_dim=B.shape[1])
-    else:
+    kernel = kernel_from_spec(spec, default_out_dim=B.shape[1])
+    data = Dataset(X, B, noise_std=float(np.sqrt(kernel.theta.noise_variance)))
+    if not args.no_fit:
         family = lambda th: kernel_from_spec(
             {**spec, "hyperparams": th.to_dict()}, default_out_dim=B.shape[1])
-        fit = fit_hyperparameters(data, family, theta,
+        fit = fit_hyperparameters(data, family, kernel.theta,
                                   OptConfig(seed=args.seed, learn_noise=True))
         kernel = family(fit.theta)
         data = Dataset(X, B, noise_std=float(np.sqrt(fit.theta.noise_variance)))

@@ -252,7 +252,7 @@ def run_real_data(config, dataset_path):
     """Train/test benchmark for 3-D curl-free field data from a CSV file.
 
     Each repetition draws a disjoint random train/test split, fits each
-    requested method (closed-form curl-free kernel, diagonal kernel, and
+    requested method (curl-free kernel, diagonal kernel, and
     diagonal kernel with artificial curl observations at random subsets
     of the test points), and reports the RMSE over the test set.
     """

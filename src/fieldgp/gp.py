@@ -187,6 +187,7 @@ def fit_gp(data, kernel, noise_variance=None, jitter_policy=DEFAULT_JITTER, bloc
         k_cc = cross_gram(block.prior, block.points, block.points)
         gram = np.block([[gram, k_dc], [k_dc.T, k_cc]])
         y = np.concatenate([y, np.zeros(k_cc.shape[0])])
+        del k_dc, k_cc  # the joint matrix holds copies; free them before factoring
     L, jitter = cholesky_jitter(gram, jitter_policy)
     alpha = cho_solve((L, True), y)
     return GpModel(kernel, data, L, alpha, noise_variance, jitter, block)
@@ -238,6 +239,14 @@ def _clamp_variances(var):
 # hyperparameter fitting
 
 
+#: Nelder-Mead stops when the simplex spans less than these in log-parameter
+#: space and in negative log marginal likelihood.
+XATOL = 1e-3
+FATOL = 1e-3
+#: Range of the noise standard deviation for learned-noise restarts.
+NOISE_STD_BOUNDS = (1e-5, 1.0)
+
+
 @dataclass
 class OptConfig:
     """Settings for the derivative-free marginal-likelihood search."""
@@ -245,12 +254,7 @@ class OptConfig:
     restarts: int = 2
     seed: int = 0
     maxiter: int = 200
-    xatol: float = 1e-3
-    fatol: float = 1e-3
     learn_noise: bool = False
-    signal_std_bounds: tuple | None = None
-    length_scale_bounds: tuple | None = None
-    noise_std_bounds: tuple = (1e-5, 1.0)
 
 
 @dataclass
@@ -278,7 +282,7 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
     """
     cfg = opt_config or OptConfig()
     rng = np.random.default_rng(cfg.seed)
-    sf_bounds, ls_bounds = _default_bounds(data, cfg)
+    sf_bounds, ls_bounds = _default_bounds(data)
 
     fixed_noise = init.noise_variance
     best_trace = []
@@ -308,21 +312,21 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
 
     z0 = [np.log(np.sqrt(init.signal_variance)), np.log(init.length_scale)]
     if cfg.learn_noise:
-        z0.append(np.log(max(np.sqrt(fixed_noise), cfg.noise_std_bounds[0])))
+        z0.append(np.log(max(np.sqrt(fixed_noise), NOISE_STD_BOUNDS[0])))
     starts = [np.array(z0)]
     for _ in range(max(cfg.restarts - 1, 0)):
         z = [rng.uniform(np.log(sf_bounds[0]), np.log(sf_bounds[1])),
              rng.uniform(np.log(ls_bounds[0]), np.log(ls_bounds[1]))]
         if cfg.learn_noise:
-            z.append(rng.uniform(np.log(cfg.noise_std_bounds[0]),
-                                 np.log(cfg.noise_std_bounds[1])))
+            z.append(rng.uniform(np.log(NOISE_STD_BOUNDS[0]),
+                                 np.log(NOISE_STD_BOUNDS[1])))
         starts.append(np.array(z))
 
     best_z, best_val = None, np.inf
     for z_start in starts:
         res = minimize(objective, z_start, method="Nelder-Mead",
-                       options={"maxiter": cfg.maxiter, "xatol": cfg.xatol,
-                                "fatol": cfg.fatol, "adaptive": True})
+                       options={"maxiter": cfg.maxiter, "xatol": XATOL,
+                                "fatol": FATOL, "adaptive": True})
         if res.fun < best_val:
             best_val, best_z = res.fun, res.x
     if best_z is None or not np.isfinite(best_val):
@@ -331,25 +335,9 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
                      trace=best_trace, n_evals=state["n"])
 
 
-def _default_bounds(data, cfg):
-    if cfg.signal_std_bounds and cfg.length_scale_bounds:
-        return cfg.signal_std_bounds, cfg.length_scale_bounds
+def _default_bounds(data):
+    """Restart ranges of the signal std and length scale, from the data's scales."""
     y_scale = max(float(np.std(data.outputs)), 1e-8)
     span = float(np.max(np.ptp(data.inputs, axis=0)))
     span = span if span > 0 else 1.0
-    sf = cfg.signal_std_bounds or (1e-2 * y_scale, 1e2 * y_scale)
-    ls = cfg.length_scale_bounds or (5e-2 * span, 2.0 * span)
-    return sf, ls
-
-
-def model_to_json_dict(model, kernel_spec=None, data_ref=None):
-    """Serializable description of a fitted model for reproducibility."""
-    return {
-        "hyperparams": model.theta.to_dict(),
-        "kernel_spec": kernel_spec,
-        "training_data": data_ref,
-        "n_points": model.data.n_points,
-        "out_dim": model.data.out_dim,
-        "noise_variance": model.noise_variance,
-        "jitter": model.jitter,
-    }
+    return (1e-2 * y_scale, 1e2 * y_scale), (5e-2 * span, 2.0 * span)

@@ -6,11 +6,13 @@ r = x - x', every mixed partial derivative with respect to entries of x
 and x' has a closed form: a product of probabilists' Hermite polynomials
 in r_d / l times the kernel itself.
 
-Matrix-valued kernels are represented symbolically as grids of
-derivative terms applied to the base kernel, so a kernel transformed by
-an operator matrix (covariance of ``f = G[g]`` for a scalar prior on g)
-is just bookkeeping over multi-indices, and applying a further operator
-to either argument composes exponents.
+Every matrix kernel is a grid of such derivative terms of one base
+kernel, and one evaluator turns the grid into numbers.  A kernel
+transformed by an operator matrix (covariance of ``f = G[g]`` for a
+scalar prior on g) is bookkeeping over multi-indices, and applying a
+further operator to either argument composes exponents.  The diagonal
+kernel is the order-0 identity grid, and the curl-free kernel is the
+gradient-transformed grid scaled by l^2.
 """
 
 from dataclasses import dataclass
@@ -18,14 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DimensionMismatch, OperatorMatrix
+from .operators import DimensionMismatch, OperatorMatrix, OperatorPoly
 
 #: Largest supported total derivative order (both arguments combined).
 MAX_DERIVATIVE_ORDER = 4
 
 
 class DerivativeOrderError(ValueError):
-    """Requested derivative order exceeds the supported closed forms."""
+    """Requested derivative order exceeds MAX_DERIVATIVE_ORDER."""
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,14 @@ class SeHyperparams:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            signal_variance=float(d["signal_variance"]),
-            length_scale=float(d["length_scale"]),
-            noise_variance=float(d.get("noise_variance", 0.0)),
-        )
+        try:
+            return cls(
+                signal_variance=float(d["signal_variance"]),
+                length_scale=float(d["length_scale"]),
+                noise_variance=float(d.get("noise_variance", 0.0)),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed hyperparams {d!r}: {exc!r}") from None
 
 
 class DerivativeMultiIndex(NamedTuple):
@@ -70,12 +75,10 @@ class DerivativeMultiIndex(NamedTuple):
     def order(self):
         return sum(self.alpha) + sum(self.beta)
 
-    def validate(self, dim=None):
-        if len(self.alpha) != len(self.beta):
-            raise DimensionMismatch("alpha and beta must have equal length")
-        if dim is not None and len(self.alpha) != dim:
-            raise DimensionMismatch(f"multi-index is {len(self.alpha)}-dimensional, "
-                                    f"points are {dim}-dimensional")
+    def validate(self, dim):
+        if not len(self.alpha) == len(self.beta) == dim:
+            raise DimensionMismatch(f"multi-index is ({len(self.alpha)}, {len(self.beta)})-"
+                                    f"dimensional, points are {dim}-dimensional")
         if any(e < 0 for e in self.alpha + self.beta):
             raise ValueError("derivative exponents must be non-negative")
         if self.order > MAX_DERIVATIVE_ORDER:
@@ -85,59 +88,20 @@ class DerivativeMultiIndex(NamedTuple):
             )
 
 
-def se_eval(x, x2, theta):
-    """Squared-exponential kernel value at a pair of points."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape:
-        raise DimensionMismatch("points have different dimensions")
-    sq = np.sum((x - x2) ** 2)
-    return theta.signal_variance * np.exp(-0.5 * sq / theta.length_scale ** 2)
-
-
-def _hermite_batch(n, u):
-    """Probabilists' Hermite polynomial He_n evaluated elementwise."""
-    h_prev = np.ones_like(u)
-    if n == 0:
-        return h_prev
-    h = u.copy()
-    for k in range(1, n):
-        h, h_prev = u * h - k * h_prev, h
-    return h
-
-
-def _se_derivative_batch(alpha, beta, diff, theta):
-    """Mixed partial of the SE kernel on a (..., D) array of differences x - x'.
-
-    d^alpha/dx d^beta/dx' k = (-1)^|alpha| sv l^-|g| prod_d He_{g_d}(r_d/l) k,
-    with g = alpha + beta; the sign follows from the chain rule for the
-    second argument, so no extra convention is applied by callers.
-    """
-    ell = theta.length_scale
-    u = diff / ell
-    value = np.exp(-0.5 * np.sum(u * u, axis=-1))
-    gamma = tuple(a + b for a, b in zip(alpha, beta))
-    for d, g in enumerate(gamma):
-        if g:
-            value = value * _hermite_batch(g, u[..., d])
-    order = sum(gamma)
-    sign = -1.0 if sum(alpha) % 2 else 1.0
-    return sign * theta.signal_variance * ell ** (-order) * value
-
-
 def se_derivative(idx, x, x2, theta):
-    """Exact mixed partial derivative of the SE kernel.
+    """Exact mixed partial derivative of the SE kernel at a pair of points.
 
     ``idx.alpha`` differentiates with respect to x, ``idx.beta`` with
     respect to x2, both up to combined order MAX_DERIVATIVE_ORDER.
     """
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape:
-        raise DimensionMismatch("points have different dimensions")
     idx = DerivativeMultiIndex(tuple(idx[0]), tuple(idx[1]))
-    idx.validate(dim=x.shape[-1])
-    return float(_se_derivative_batch(idx.alpha, idx.beta, x - x2, theta))
+    return float(MatrixKernelExpr(np.shape(x)[-1], [[{idx: 1}]], theta).eval(x, x2)[0, 0])
+
+
+def se_eval(x, x2, theta):
+    """Squared-exponential kernel value at a pair of points."""
+    zero = (0,) * np.shape(x)[-1]
+    return se_derivative((zero, zero), x, x2, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +109,18 @@ def se_derivative(idx, x, x2, theta):
 
 
 class MatrixKernel:
-    """Base for matrix-valued kernels: maps a pair of points to a matrix."""
+    """Base for matrix kernels whose entries are derivatives of one SE kernel.
+
+    A family lists its nonzero entries through ``_cells()`` as
+    ((i, j), terms) with terms a sorted tuple of (gamma, coeff): gamma is a
+    sparse multi-index of (dimension, order) pairs.  With u = (x - x')/l,
+    entry (i, j) is sum coeff * prod_{(d, n) in gamma} He_n(u_d) * exp(-|u|^2/2).
+    """
 
     shape = None  # (rows, cols)
     theta = None
+    in_dim = None
+    _plan = None
 
     @property
     def out_dim(self):
@@ -164,7 +136,20 @@ class MatrixKernel:
         [a, i, b, j] is component (i, j) of k(X[a], X2[b]), so reshaping
         to (N1*rows, N2*cols) gives the block Gram matrix without a copy.
         """
-        raise NotImplementedError
+        X = np.asarray(X, dtype=float)
+        X2 = np.asarray(X2, dtype=float)
+        dim = X.shape[1]
+        if X2.shape[1] != dim or self.in_dim not in (None, dim):
+            raise DimensionMismatch("point dimension does not match kernel")
+        if self._plan is None:
+            self._plan = _compile(self._cells())
+        rows, cols = self.shape
+        out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
+        step = max(1, _BLOCK_PAIRS // max(X2.shape[0], 1))
+        for lo in range(0, X.shape[0], step):
+            _eval_block(*self._plan, self.theta.length_scale,
+                        X[lo:lo + step], X2, out[lo:lo + step])
+        return out
 
     def eval(self, x, x2):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -174,6 +159,53 @@ class MatrixKernel:
     __call__ = eval
 
 
+#: Point pairs per evaluation block, so that the block's dozen or so
+#: temporaries stay in a core's L2 cache.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _compile(cells):
+    """(plan, highest Hermite order per dimension) for a kernel's cells.
+
+    Plan entries are (i, j, source, terms); ``source`` is an earlier entry
+    with identical terms, whose values are copied, or None.
+    """
+    plan, first, orders = [], {}, {}
+    for (i, j), terms in cells:
+        if terms:
+            source = first.setdefault(terms, (i, j))
+            plan.append((i, j, None if source == (i, j) else source, terms))
+            for d, n in (g for gamma, _ in terms for g in gamma):
+                orders[d] = max(orders.get(d, 0), n)
+    return plan, orders
+
+
+def _eval_block(plan, orders, ell, X, X2, out):
+    """Write the compiled cells for the pairs of X and X2 into ``out``."""
+    u = [np.subtract.outer(X[:, d], X2[:, d]) / ell for d in range(X.shape[1])]
+    k = u[0] * u[0]
+    for u_d in u[1:]:
+        k += u_d * u_d
+    k = np.exp(-0.5 * k)
+    hermite = {}
+    for d, top in orders.items():
+        h_prev, h = 1.0, u[d]
+        hermite[d, 1] = h
+        for n in range(2, top + 1):  # He_n = u He_{n-1} - (n-1) He_{n-2}
+            h_prev, h = h, u[d] * h - (n - 1) * h_prev
+            hermite[d, n] = h
+    for i, j, source, terms in plan:
+        if source is not None:
+            out[:, i, :, j] = out[:, source[0], :, source[1]]
+            continue
+        value = None
+        for gamma, coeff in terms:
+            for g in gamma:
+                coeff = coeff * hermite[g]
+            value = coeff if value is None else value + coeff
+        np.multiply(value, k, out=out[:, i, :, j])
+
+
 class MatrixKernelExpr(MatrixKernel):
     """Matrix kernel whose entries are derivative combinations of one SE kernel.
 
@@ -181,6 +213,9 @@ class MatrixKernelExpr(MatrixKernel):
     coefficient.  Construction validates the derivative-order budget and
     drops exactly-cancelling terms, so an operator identity like
     "divergence of a divergence-free kernel" reduces to an all-empty grid.
+    The entries stay symbolic for operator application.  They evaluate by
+    d^alpha/dx d^beta/dx' k = (-1)^|alpha| sv l^-|g| prod_d He_{g_d}(u_d) k/sv,
+    g = alpha + beta, so terms with equal g merge into one cell term.
     """
 
     def __init__(self, in_dim, entries, theta):
@@ -197,7 +232,7 @@ class MatrixKernelExpr(MatrixKernel):
                 terms = {}
                 for idx, coeff in cell.items():
                     idx = DerivativeMultiIndex(tuple(idx[0]), tuple(idx[1]))
-                    idx.validate(dim=in_dim)
+                    idx.validate(in_dim)
                     if coeff == 0:
                         continue
                     terms[idx] = terms.get(idx, 0) + coeff
@@ -213,24 +248,29 @@ class MatrixKernelExpr(MatrixKernel):
     def is_zero(self):
         return all(not cell for row in self.entries for cell in row)
 
-    def eval_pairwise(self, X, X2):
-        X = np.asarray(X, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        if X.shape[1] != self.in_dim or X2.shape[1] != self.in_dim:
-            raise DimensionMismatch("point dimension does not match kernel")
-        diff = X[:, None, :] - X2[None, :, :]
-        rows, cols = self.shape
-        out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
-        for i in range(rows):
-            for j in range(cols):
-                for idx, coeff in self.entries[i][j].items():
-                    out[:, i, :, j] += float(coeff) * _se_derivative_batch(
-                        idx.alpha, idx.beta, diff, self.theta)
-        return out
+    def _cells(self):
+        sv, ell = self.theta.signal_variance, self.theta.length_scale
+        for i, row in enumerate(self.entries):
+            for j, cell in enumerate(row):
+                merged = {}
+                for idx, coeff in cell.items():
+                    gamma = tuple((d, a + b) for d, (a, b)
+                                  in enumerate(zip(idx.alpha, idx.beta)) if a + b)
+                    sign = -1 if sum(idx.alpha) % 2 else 1
+                    merged[gamma] = merged.get(gamma, 0) + sign * coeff
+                yield (i, j), tuple(sorted(
+                    (gamma, float(c) * sv * ell ** -sum(n for _, n in gamma))
+                    for gamma, c in merged.items() if c != 0))
+
+    eval_pairwise = MatrixKernel.eval_pairwise
 
 
 class DiagonalKernel(MatrixKernel):
-    """Independent-output kernel: the scalar SE kernel times the identity."""
+    """Independent-output kernel: the scalar SE kernel times the identity.
+
+    Its cells are the order-0 term on the diagonal, so any input dimension
+    works; ``in_dim``, when given, is checked against the points.
+    """
 
     def __init__(self, theta, out_dim, in_dim=None):
         if out_dim < 1:
@@ -239,17 +279,11 @@ class DiagonalKernel(MatrixKernel):
         self.shape = (out_dim, out_dim)
         self.in_dim = in_dim
 
-    def eval_pairwise(self, X, X2):
-        X = np.asarray(X, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        diff = X[:, None, :] - X2[None, :, :]
-        k = self.theta.signal_variance * np.exp(
-            -0.5 * np.sum(diff * diff, axis=-1) / self.theta.length_scale ** 2)
-        n_out = self.shape[0]
-        out = np.zeros((X.shape[0], n_out, X2.shape[0], n_out))
-        for i in range(n_out):
-            out[:, i, :, i] = k
-        return out
+    def _cells(self):
+        return [((i, i), (((), float(self.theta.signal_variance)),))
+                for i in range(self.shape[0])]
+
+    eval_pairwise = MatrixKernel.eval_pairwise
 
     def as_expr(self, in_dim):
         """The same kernel as an explicit derivative expression (for operator use)."""
@@ -260,37 +294,22 @@ class DiagonalKernel(MatrixKernel):
         return MatrixKernelExpr(in_dim, entries, self.theta)
 
 
-class CurlFreeKernel(MatrixKernel):
-    """Closed-form 3x3 kernel whose sample fields are gradients of a potential.
+class CurlFreeKernel(MatrixKernelExpr):
+    """3x3 kernel whose sample fields are gradients of a scalar SE potential.
 
-    Uses the scaling sv * exp(-||r||^2/(2 l^2)) (I - (r/l)(r/l)^T), which
-    differs from the operator-transformed gradient kernel by a constant
-    factor l^2 and therefore encodes the same constraint.
+    It is l^2 * ``transform_kernel(grad, theta)``, with l^2 folded into the
+    coefficients: entry (a, b) is sv exp(-|u|^2/2) (delta_ab - u_a u_b), so
+    sv stays the field variance.
     """
 
     def __init__(self, theta):
-        self.theta = theta
-        self.shape = (3, 3)
-        self.in_dim = 3
+        grad = OperatorMatrix([[OperatorPoly.monomial(3, e)]
+                               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        ell2 = theta.length_scale ** 2
+        super().__init__(3, [[{idx: ell2 * c for idx, c in cell.items()} for cell in row]
+                             for row in transform_kernel(grad, theta).entries], theta)
 
-    def eval_pairwise(self, X, X2):
-        X = np.asarray(X, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        if X.shape[1] != 3 or X2.shape[1] != 3:
-            raise DimensionMismatch("curl-free kernel expects 3-D points")
-        ell = self.theta.length_scale
-        u = [(X[:, None, d] - X2[None, :, d]) / ell for d in range(3)]
-        # summed in axis order, as np.sum(u * u, axis=-1) sums three terms
-        k = self.theta.signal_variance * np.exp(
-            -0.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
-        out = np.empty((X.shape[0], 3, X2.shape[0], 3))
-        for a in range(3):
-            out[:, a, :, a] = k * (1.0 - u[a] * u[a])
-            for b in range(a + 1, 3):
-                # 0.0 - t, not -t: an exact zero keeps the sign that I - u u^T gives it
-                out[:, a, :, b] = k * (0.0 - u[a] * u[b])
-                out[:, b, :, a] = out[:, a, :, b]
-        return out
+    eval_pairwise = MatrixKernel.eval_pairwise
 
 
 class SumKernel(MatrixKernel):
@@ -329,7 +348,7 @@ def transform_kernel(G, theta, per_column_thetas=None):
     if per_column_thetas is not None:
         if len(per_column_thetas) != G.cols:
             raise DimensionMismatch("one theta per column of G is required")
-        parts = [_transform_single_column(G, c, th)
+        parts = [transform_kernel(OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)]), th)
                  for c, th in enumerate(per_column_thetas)]
         return parts[0] if len(parts) == 1 else SumKernel(parts)
     n, in_dim = G.rows, G.vars
@@ -343,11 +362,6 @@ def transform_kernel(G, theta, per_column_thetas=None):
                         idx = DerivativeMultiIndex(mono_i, mono_j)
                         cell[idx] = cell.get(idx, 0) + c_i * c_j
     return MatrixKernelExpr(in_dim, entries, theta)
-
-
-def _transform_single_column(G, c, theta):
-    column = OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)])
-    return transform_kernel(column, theta)
 
 
 def apply_operator_to_expr(F, expr, side):
@@ -364,39 +378,31 @@ def apply_operator_to_expr(F, expr, side):
         raise TypeError("expr must be a MatrixKernelExpr")
     if F.vars != expr.in_dim:
         raise DimensionMismatch("operator and kernel dimensions differ")
+    if side == "right":
+        # K F'^T is the argument swap of F applied to the argument swap of K
+        return _swap_arguments(apply_operator_to_expr(F, _swap_arguments(expr), "left"))
     rows, cols = expr.shape
-    if side == "left":
-        if F.cols != rows:
-            raise DimensionMismatch(
-                f"F has {F.cols} columns but the kernel has {rows} rows")
-        out = [[_compose_cell(F, expr, i, j, "left") for j in range(cols)]
-               for i in range(F.rows)]
-    else:
-        if F.cols != cols:
-            raise DimensionMismatch(
-                f"F has {F.cols} columns but the kernel has {cols} columns")
-        out = [[_compose_cell(F, expr, i, j, "right") for j in range(F.rows)]
-               for i in range(rows)]
+    if F.cols != rows:
+        raise DimensionMismatch(f"F has {F.cols} columns but the kernel has {rows} rows")
+    out = [[{} for _ in range(cols)] for _ in range(F.rows)]
+    for i in range(F.rows):
+        for k in range(F.cols):
+            for mono, c_op in F.entry(i, k).terms.items():
+                for j in range(cols):
+                    for idx, c in expr.entries[k][j].items():
+                        new = DerivativeMultiIndex(
+                            tuple(a + m for a, m in zip(idx.alpha, mono)), idx.beta)
+                        out[i][j][new] = out[i][j].get(new, 0) + c_op * c
     return MatrixKernelExpr(expr.in_dim, out, expr.theta)
 
 
-def _compose_cell(F, expr, i, j, side):
-    cell = {}
-    if side == "left":
-        pieces = ((F.entry(i, k), expr.entries[k][j]) for k in range(F.cols))
-    else:
-        pieces = ((F.entry(j, k), expr.entries[i][k]) for k in range(F.cols))
-    for poly, terms in pieces:
-        for mono, c_op in poly.terms.items():
-            for idx, c_k in terms.items():
-                if side == "left":
-                    new = DerivativeMultiIndex(
-                        tuple(a + b for a, b in zip(idx.alpha, mono)), idx.beta)
-                else:
-                    new = DerivativeMultiIndex(
-                        idx.alpha, tuple(a + b for a, b in zip(idx.beta, mono)))
-                cell[new] = cell.get(new, 0) + c_op * c_k
-    return cell
+def _swap_arguments(expr):
+    """The expression of K(x', x)^T: entries transposed, alpha and beta swapped."""
+    rows, cols = expr.shape
+    return MatrixKernelExpr(
+        expr.in_dim, [[{DerivativeMultiIndex(idx.beta, idx.alpha): c
+                        for idx, c in expr.entries[i][j].items()} for i in range(rows)]
+                      for j in range(cols)], expr.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +419,8 @@ def kernel_from_spec(spec, default_out_dim=None):
     """
     from .operators import construct_g  # local import to keep module load light
 
+    if not isinstance(spec, dict):
+        raise ValueError(f"kernel spec must be an object, not {type(spec).__name__}")
     kind = spec.get("type")
     theta = SeHyperparams.from_dict(spec.get("hyperparams", {}))
     if kind == "diagonal":

@@ -317,21 +317,24 @@ class OperatorMatrix:
         if p < 1 or rows < 1 or cols < 1:
             raise ValueError("vars, rows and cols must all be >= 1")
         entry_map = {}
-        for ent in raw_entries:
-            i, j = int(ent["row"]), int(ent["col"])
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index ({i},{j}) out of range")
-            terms = {}
-            for term in ent["terms"]:
-                exps = tuple(int(e) for e in term["exponents"])
-                if len(exps) != p or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponents {exps} (vars={p})")
-                coeff = _coeff_from_json(term["coeff"])
-                terms[exps] = terms.get(exps, 0) + coeff
-            poly = OperatorPoly(p, terms)
-            if (i, j) in entry_map:
-                poly = entry_map[i, j] + poly
-            entry_map[i, j] = poly
+        try:
+            for ent in raw_entries:
+                i, j = int(ent["row"]), int(ent["col"])
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ValueError(f"entry index ({i},{j}) out of range")
+                terms = {}
+                for term in ent["terms"]:
+                    exps = tuple(int(e) for e in term["exponents"])
+                    if len(exps) != p or any(e < 0 for e in exps):
+                        raise ValueError(f"bad exponents {exps} (vars={p})")
+                    coeff = _coeff_from_json(term["coeff"])
+                    terms[exps] = terms.get(exps, 0) + coeff
+                poly = OperatorPoly(p, terms)
+                if (i, j) in entry_map:
+                    poly = entry_map[i, j] + poly
+                entry_map[i, j] = poly
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed operator entries: {exc!r}") from None
         return cls.from_entry_map(rows, cols, p, entry_map)
 
     def dump_json(self, path):

@@ -249,6 +249,40 @@ def test_predict_bad_points_file_exit_1(tmp_path, bad_file, content):
     assert "RuntimeWarning" not in proc.stderr
 
 
+_DIV_ENTRY = {"row": 0, "col": 0, "terms": [{"coeff": 1, "exponents": [1, 0]}]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("construct-g", {"vars": 2, "rows": 1, "cols": 2,
+                     "entries": [{"col": 0, "terms": _DIV_ENTRY["terms"]}]}),
+    ("construct-g", {"vars": 2, "rows": 1, "cols": 2,
+                     "entries": [{"row": 0, "col": 0, "terms": [{"coeff": 1}]}]}),
+    ("construct-g", {"vars": 2, "rows": 1, "cols": 2, "entries": 5}),
+    ("construct-g", {"vars": 2, "rows": 1, "cols": 2,
+                     "entries": [{"row": 0, "col": 0,
+                                  "terms": [{"coeff": "1/0", "exponents": [1, 0]}]}]}),
+    ("predict", [1]),
+    ("predict", {"type": "curl_free_3d", "hyperparams": [1]}),
+], ids=["entry_without_row", "term_without_exponents", "entries_not_a_list",
+        "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object"])
+def test_malformed_spec_exit_1(tmp_path, command, doc):
+    spec = write_json(tmp_path / "spec.json", doc)
+    if command == "construct-g":
+        argv = ["construct-g", "--f-spec", spec, "--out", str(tmp_path / "g.json")]
+    else:
+        X, B = synthetic_curl_free_field(10, seed=4)
+        write_field_csv(tmp_path / "train.csv", X, B)
+        (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+        argv = ["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                "--points", str(tmp_path / "points.csv"),
+                "--out", str(tmp_path / "pred.csv"), "--no-fit"]
+    proc = subprocess.run([sys.executable, "-m", "fieldgp.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("fieldgp: error:")
+
+
 # ---------------------------------------------------------------------------
 # usage errors and the installed entry point
 

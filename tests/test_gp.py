@@ -15,7 +15,6 @@ from fieldgp.gp import (
     fit_gp,
     fit_hyperparameters,
     log_marginal_likelihood,
-    model_to_json_dict,
     predict,
 )
 from fieldgp.kernels import DiagonalKernel, SeHyperparams, transform_kernel
@@ -359,17 +358,3 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.zeros((2, 2)), noise_std=-1.0)
-
-
-def test_model_serialization(rng):
-    kernel = DiagonalKernel(SeHyperparams(1.0, 1.0, 0.01), 2)
-    X = rng.uniform(0, 2, size=(5, 2))
-    model = fit_gp(Dataset(X, rng.standard_normal((5, 2)), 0.1), kernel)
-    doc = model_to_json_dict(model, kernel_spec={"type": "diagonal", "out_dim": 2},
-                             data_ref="train.csv")
-    assert doc["hyperparams"]["signal_variance"] == 1.0
-    assert doc["training_data"] == "train.csv"
-    assert doc["n_points"] == 5
-    import json
-
-    json.dumps(doc)  # must be JSON-serializable

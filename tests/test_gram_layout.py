@@ -3,12 +3,12 @@
 Kernels used to return an (N1, N2, rows, cols) array that ``assemble_gram``
 and ``cross_gram`` transpose-copied into blocks, and ``assemble_gram`` added
 noise through a full identity matrix.  That implementation is kept here as
-the reference: the layout change must not change a single floating-point
-operation, so every comparison is exact, never a tolerance.  Kernel values
-match bit for bit, signed zeros included.  A Gram matrix with noise is
-compared with ``np.array_equal``, which counts -0.0 equal to 0.0: the
-reference's ``gram + noise * eye`` turned every -0.0 off the diagonal into
-+0.0, and the in-place diagonal add leaves them as the kernel wrote them.
+the reference, with the old kernel arithmetic of ``kernel_reference``.
+Shapes and the placement of every block entry must match exactly.  The
+values are held to 1e-13 of the largest reference value, not to the bit:
+the kernels now evaluate every family through one compiled evaluator,
+which multiplies the same factors in a different order (and merges terms
+with equal total derivative order), so the last bits differ by design.
 """
 
 import numpy as np
@@ -18,46 +18,17 @@ from fieldgp.gp import assemble_gram, cross_gram
 from fieldgp.kernels import (
     CurlFreeKernel,
     DiagonalKernel,
-    MatrixKernelExpr,
     SeHyperparams,
-    SumKernel,
-    _se_derivative_batch,
     apply_operator_to_expr,
     transform_kernel,
 )
 from fieldgp.operators import construct_g, make_curl_operator_3d, make_divergence_operator
 
+from kernel_reference import reference_pairwise
+
 # a short length scale next to points spread over [-3, 3], so some kernel
 # values underflow to exactly zero
 THETA = SeHyperparams(1.3, 0.15, 1e-3)
-
-
-def reference_pairwise(kernel, X, X2):
-    """Kernel values in the old (N1, N2, rows, cols) layout, computed as before."""
-    if isinstance(kernel, SumKernel):
-        out = reference_pairwise(kernel.parts[0], X, X2)
-        for part in kernel.parts[1:]:
-            out = out + reference_pairwise(part, X, X2)
-        return out
-    if isinstance(kernel, CurlFreeKernel):
-        u = (X[:, None, :] - X2[None, :, :]) / kernel.theta.length_scale
-        k = kernel.theta.signal_variance * np.exp(-0.5 * np.sum(u * u, axis=-1))
-        outer = u[:, :, :, None] * u[:, :, None, :]
-        return k[:, :, None, None] * (np.eye(3) - outer)
-    diff = X[:, None, :] - X2[None, :, :]
-    if isinstance(kernel, DiagonalKernel):
-        k = kernel.theta.signal_variance * np.exp(
-            -0.5 * np.sum(diff * diff, axis=-1) / kernel.theta.length_scale ** 2)
-        return k[:, :, None, None] * np.eye(kernel.shape[0])
-    assert isinstance(kernel, MatrixKernelExpr)
-    rows, cols = kernel.shape
-    out = np.zeros((X.shape[0], X2.shape[0], rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            for idx, coeff in kernel.entries[i][j].items():
-                out[:, :, i, j] += float(coeff) * _se_derivative_batch(
-                    idx.alpha, idx.beta, diff, kernel.theta)
-    return out
 
 
 def reference_cross_gram(kernel, X1, X2):
@@ -106,8 +77,8 @@ def _points(rng, dim):
     return X, X2
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+def _close(a, b):
+    return a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -116,8 +87,8 @@ def test_layout_bitwise_equal_to_reference(rng, name):
     X, X2 = _points(rng, dim)
     C = cross_gram(kernel, X, X2)
     assert C.shape == (17 * kernel.shape[0], 11 * kernel.shape[1])
-    assert _same_bits(C, reference_cross_gram(kernel, X, X2))
+    assert _close(C, reference_cross_gram(kernel, X, X2))
     if kernel.shape[0] == kernel.shape[1]:
-        assert _same_bits(assemble_gram(kernel, X), reference_cross_gram(kernel, X, X))
-        assert np.array_equal(assemble_gram(kernel, X, 1e-3),
-                              reference_assemble_gram(kernel, X, 1e-3))
+        assert _close(assemble_gram(kernel, X), reference_cross_gram(kernel, X, X))
+        assert _close(assemble_gram(kernel, X, 1e-3),
+                      reference_assemble_gram(kernel, X, 1e-3))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldgp.gp import assemble_gram
 from fieldgp.kernels import (
@@ -22,10 +24,12 @@ from fieldgp.operators import (
     OperatorMatrix,
     OperatorPoly,
     construct_g,
+    make_curl_operator_3d,
     make_divergence_operator,
 )
 
 from conftest import fd_operator_rows, mp_se_derivative, multi_indices_up_to
+from kernel_reference import curl_free_closed_form, reference_pairwise
 
 THETA = SeHyperparams(signal_variance=1.3, length_scale=0.8)
 
@@ -221,19 +225,41 @@ def test_curl_free_closed_form_zero_displacement():
 
 
 def test_curl_free_closed_form_matches_transformed(rng):
+    # the kernel is l^2 grad grad^T k; both sides are checked against the
+    # hand-written closed form sv exp(-|u|^2/2) (I - u u^T)
     expr = transform_kernel(gradient_operator_3d(), THETA)
     ls2 = THETA.length_scale ** 2
     for _ in range(100):
         x, x2 = rng.normal(size=3), rng.normal(size=3)
-        closed = CurlFreeKernel(THETA).eval(x, x2)
-        derived = ls2 * expr.eval(x, x2)
-        assert np.max(np.abs(closed - derived)) <= 1e-10 * np.max(np.abs(closed))
+        closed = curl_free_closed_form(THETA, x[None], x2[None])[0, 0]
+        for got in (CurlFreeKernel(THETA).eval(x, x2), ls2 * expr.eval(x, x2)):
+            assert np.max(np.abs(got - closed)) <= 1e-10 * np.max(np.abs(closed))
+
+
+def test_curl_free_kernel_is_an_expression():
+    # operators act on it, and the curl of a gradient field cancels exactly
+    kernel = CurlFreeKernel(THETA)
+    assert isinstance(kernel, MatrixKernelExpr)
+    assert apply_operator_to_expr(make_curl_operator_3d(), kernel, side="left").is_zero()
 
 
 def test_curl_free_closed_form_decay():
     x = np.zeros(3)
     far = np.array([50.0, 0.0, 0.0])
     assert np.max(np.abs(CurlFreeKernel(THETA).eval(x, far))) < 1e-200
+
+
+def test_diagonal_kernel_equals_its_expression_bitwise(rng):
+    for dim, out_dim in ((1, 1), (2, 2), (3, 3), (2, 3)):
+        X, X2 = rng.normal(size=(7, dim)), rng.normal(size=(5, dim))
+        X2[0] = X[2]
+        kernel = DiagonalKernel(THETA, out_dim)
+        a = assemble_gram(kernel, X, 1e-3)
+        b = assemble_gram(kernel.as_expr(dim), X, 1e-3)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        a = kernel.eval_pairwise(X, X2)
+        b = kernel.as_expr(dim).eval_pairwise(X, X2)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_diagonal_kernel_values(rng):
@@ -357,3 +383,57 @@ def test_kernel_from_spec_variants():
     with pytest.raises(ValueError):
         kernel_from_spec({"type": "transformed", "hyperparams": hyper,
                           "g_operator": "auto-from-F"})
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the old per-family arithmetic
+
+
+def _laplacian_row(dim):
+    # 1 x dim operator [d^2/dx_1^2, ..., d^2/dx_dim^2]: order 4 on a diagonal prior
+    return OperatorMatrix([[OperatorPoly.monomial(dim, tuple(2 * (e == d) for e in range(dim)))
+                            for d in range(dim)]])
+
+
+def _augment_pair(F, dim, theta):
+    prior = DiagonalKernel(theta, F.cols).as_expr(dim)
+    cross = apply_operator_to_expr(F, prior, side="right")
+    return cross, apply_operator_to_expr(F, cross, side="left")
+
+
+def _family_kernels(dim, theta):
+    kernels = [DiagonalKernel(theta, out_dim) for out_dim in (1, 2, 3)]
+    kernels += list(_augment_pair(_laplacian_row(dim), dim, theta))
+    if dim >= 2:
+        G, _ = construct_g(make_divergence_operator(dim))
+        kernels += [transform_kernel(G, theta)]
+        kernels += list(_augment_pair(make_divergence_operator(dim), dim, theta))
+    if dim == 3:
+        kernels += [CurlFreeKernel(theta)]
+        kernels += list(_augment_pair(make_curl_operator_3d(), dim, theta))
+    return kernels
+
+
+_COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.sampled_from((1, 2, 3)),
+       sv=st.floats(0.05, 20.0), ls=st.floats(0.1, 4.0))
+def test_eval_pairwise_matches_old_arithmetic(data, dim, sv, ls):
+    theta = SeHyperparams(sv, ls)
+    n1 = data.draw(st.integers(1, 5))
+    n2 = data.draw(st.integers(1, 5))
+    X = np.array(data.draw(st.lists(st.lists(_COORD, min_size=dim, max_size=dim),
+                                    min_size=n1, max_size=n1)))
+    X2 = np.array(data.draw(st.lists(st.lists(_COORD, min_size=dim, max_size=dim),
+                                     min_size=n2, max_size=n2)))
+    if data.draw(st.booleans()):
+        X2[0] = X[-1]        # a coincident pair: exact zero differences
+    for kernel in _family_kernels(dim, theta):
+        got = kernel.eval_pairwise(X, X2).transpose(0, 2, 1, 3)
+        ref = reference_pairwise(kernel, X, X2)
+        # far pairs underflow; below 1e-200 * sv a value is zero for any use
+        scale = max(np.max(np.abs(ref)), 1e-200 * sv)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale, type(kernel).__name__

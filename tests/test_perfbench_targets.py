@@ -8,14 +8,19 @@ nothing in it.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fieldgp import gp, kernels
+from fieldgp.cli import main
+from fieldgp.experiments import synthetic_curl_free_field, write_field_csv
 from fieldgp.operators import construct_g, make_divergence_operator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -93,3 +98,33 @@ def test_gram_builders_call_eval_pairwise_once(monkeypatch):
             calls.clear()
             build()
             assert calls == [cls]
+
+
+def test_traced_pipelines_fill_the_layer_counters(tmp_path):
+    # a traced run of both pipelines in miniature: every kernel family and
+    # the baseline's spans must record calls, as the traced benchmark expects
+    common = {"repetitions": 1, "restarts": 1, "maxiter": 5, "seed": 1}
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({**common, "n_train": 8, "grid_size": 4,
+                               "nc_schedule": [3]}))
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({**common, "train_size": 12, "test_size": 8,
+                                "nc_schedule": [4], "noise_std": 1e-3,
+                                "methods": ["diagonal", "curl_free", "artificial"]}))
+    X, B = synthetic_curl_free_field(20, seed=2)
+    write_field_csv(tmp_path / "field.csv", X, B)
+    tracer = _load_spans().Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(["sim-experiment", "--config", str(sim),
+                       "--out", str(tmp_path / "sim_out")]),
+                 main(["real-experiment", "--config", str(real),
+                       "--data", str(tmp_path / "field.csv"),
+                       "--out", str(tmp_path / "real_out")])]
+    assert codes == [0, 0]
+    values = tracer.layer_values(0)
+    for name in ("kernels.expr", "kernels.diagonal", "kernels.curl_free",
+                 "gp.cholesky_jitter", "baseline.augment", "baseline.predict_augmented"):
+        assert values[f"{name}.calls"] > 0, name
+    assert values["gp.cholesky_jitter.flops"] > 0
+    assert values["baseline.augment.joint_dim_max"] > 0
+    assert values["baseline.predict_augmented.points"] > 0
