@@ -16,14 +16,14 @@ from .experiments import (ExperimentConfig, FieldErrorTable, RmseReport, RmseRow
                           prediction_grid, rmse, run_real_data, run_simulated,
                           simulated_field, synthetic_curl_free_field,
                           write_field_csv)
-from .gp import (Dataset, FitResult, GpModel, JitterPolicy, NotPositiveDefinite,
-                 ObservationBlock, OptConfig, PredictionResult, assemble_gram,
-                 cholesky_jitter, cross_gram, fit_gp, fit_hyperparameters,
-                 log_marginal_likelihood, predict)
-from .kernels import (MAX_DERIVATIVE_ORDER, CurlFreeKernel, DerivativeMultiIndex,
-                      DerivativeOrderError, DiagonalKernel, MatrixKernelExpr,
-                      SeHyperparams, SumKernel, apply_operator_to_expr,
-                      kernel_from_spec, se_derivative, se_eval, transform_kernel)
+from .gp import (Dataset, FitResult, GpModel, NotPositiveDefinite, ObservationBlock,
+                 OptConfig, PredictionResult, assemble_gram, cholesky_jitter,
+                 cross_gram, fit_gp, fit_hyperparameters, log_marginal_likelihood,
+                 predict)
+from .kernels import (MAX_DERIVATIVE_ORDER, CurlFreeKernel, DerivativeOrderError,
+                      DiagonalKernel, MatrixKernelExpr, SeHyperparams, SumKernel,
+                      apply_operator_to_expr, kernel_from_spec, se_derivative, se_eval,
+                      transform_kernel)
 from .operators import (MIXED, AnsatzBasis, AnsatzSystem, DimensionMismatch,
                         GammaSolution, NoAnnihilatorFound, OperatorMatrix,
                         OperatorPoly, build_ansatz_system, construct_g,

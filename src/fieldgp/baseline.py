@@ -14,11 +14,11 @@ rather than hidden.
 
 import numpy as np
 
-from .gp import DEFAULT_JITTER, ObservationBlock, fit_gp, predict
+from .gp import ObservationBlock, fit_gp, predict
 from .kernels import MatrixKernelExpr, apply_operator_to_expr
 
 
-def augment(data, F, points, kernel, jitter_policy=DEFAULT_JITTER):
+def augment(data, F, points, kernel):
     """Fit the GP jointly on data and constraint pseudo-observations.
 
     Parameters
@@ -30,8 +30,8 @@ def augment(data, F, points, kernel, jitter_policy=DEFAULT_JITTER):
 
     Returns a :class:`fieldgp.gp.GpModel`; its ``joint_dim`` counts the
     data rows plus Nc * rows(F) constraint rows.  The constraint rows
-    carry no noise; conditioning issues are handled by the global jitter
-    policy and the jitter used is recorded.
+    carry no noise; conditioning issues are handled by the jitter schedule
+    of :func:`fieldgp.gp.cholesky_jitter` and the jitter used is recorded.
     """
     if not isinstance(kernel, MatrixKernelExpr):
         raise TypeError("augment needs an explicit MatrixKernelExpr kernel")
@@ -41,8 +41,7 @@ def augment(data, F, points, kernel, jitter_policy=DEFAULT_JITTER):
     points = np.asarray(points, dtype=float).reshape(-1, data.in_dim)
     cross = apply_operator_to_expr(F, kernel, side="right")    # cov(f, F[f])
     prior = apply_operator_to_expr(F, cross, side="left")      # cov(F[f], F[f])
-    return fit_gp(data, kernel, jitter_policy=jitter_policy,
-                  block=ObservationBlock(cross, prior, points))
+    return fit_gp(data, kernel, block=ObservationBlock(cross, prior, points))
 
 
 def predict_augmented(model, Xstar, full_cov=False):

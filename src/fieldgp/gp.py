@@ -27,15 +27,10 @@ class NotPositiveDefinite(Exception):
     """Factorization failed even after the maximum jitter escalation."""
 
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Diagonal-inflation schedule: base_scale * tr(M)/dim * 10^k, k = 0..max_escalations."""
-
-    base_scale: float = 1e-12
-    max_escalations: int = 6
-
-
-DEFAULT_JITTER = JitterPolicy()
+#: Diagonal-inflation schedule of :func:`cholesky_jitter`:
+#: JITTER_BASE_SCALE * tr(M)/dim * 10^k for k = 0..JITTER_MAX_ESCALATIONS.
+JITTER_BASE_SCALE = 1e-12
+JITTER_MAX_ESCALATIONS = 6
 
 
 @dataclass
@@ -107,7 +102,7 @@ def cross_gram(kernel, X1, X2):
     return k.reshape(n1 * r, n2 * c)
 
 
-def cholesky_jitter(M, policy=DEFAULT_JITTER):
+def cholesky_jitter(M):
     """Lower Cholesky factor with escalating jitter.
 
     Returns (L, jitter_used).  Raises NotPositiveDefinite when the
@@ -122,8 +117,8 @@ def cholesky_jitter(M, policy=DEFAULT_JITTER):
     scale = np.trace(M) / dim
     if scale <= 0:
         scale = 1.0
-    jitter = policy.base_scale * scale
-    for _ in range(policy.max_escalations + 1):
+    jitter = JITTER_BASE_SCALE * scale
+    for _ in range(JITTER_MAX_ESCALATIONS + 1):
         try:
             L = np.linalg.cholesky(M + jitter * np.eye(dim))
             logger.debug("cholesky needed jitter %.3e", jitter)
@@ -172,7 +167,7 @@ class GpModel:
         return self.L.shape[0]
 
 
-def fit_gp(data, kernel, noise_variance=None, jitter_policy=DEFAULT_JITTER, block=None):
+def fit_gp(data, kernel, noise_variance=None, block=None):
     """Factor the joint Gram matrix and solve for the prediction weights.
 
     With an :class:`ObservationBlock` the GP is conditioned jointly on
@@ -188,7 +183,7 @@ def fit_gp(data, kernel, noise_variance=None, jitter_policy=DEFAULT_JITTER, bloc
         gram = np.block([[gram, k_dc], [k_dc.T, k_cc]])
         y = np.concatenate([y, np.zeros(k_cc.shape[0])])
         del k_dc, k_cc  # the joint matrix holds copies; free them before factoring
-    L, jitter = cholesky_jitter(gram, jitter_policy)
+    L, jitter = cholesky_jitter(gram)
     alpha = cho_solve((L, True), y)
     return GpModel(kernel, data, L, alpha, noise_variance, jitter, block)
 

@@ -1,26 +1,28 @@
-"""Squared-exponential kernels, their mixed derivatives, and matrix kernels.
+"""Squared-exponential kernels and the matrix kernels built from them.
 
-The scalar base kernel is k(x, x') = sv * exp(-||x - x'||^2 / (2 l^2)).
-Because it is a product of one-dimensional Gaussians in the difference
-r = x - x', every mixed partial derivative with respect to entries of x
-and x' has a closed form: a product of probabilists' Hermite polynomials
-in r_d / l times the kernel itself.
+The scalar base kernel k(x, x') = sv * exp(-||x - x'||^2 / (2 l^2))
+depends only on the difference r = x - x', so d/dx = d/dr and
+d/dx' = -d/dr.  Every matrix kernel here is an operator matrix in d/dr
+applied to one SE kernel: entry (i, j) is P_ij(d/dr) k.  Each monomial
+has a closed form, a product of probabilists' Hermite polynomials in
+r_d / l times the kernel itself, and one evaluator turns the matrix into
+numbers.
 
-Every matrix kernel is a grid of such derivative terms of one base
-kernel, and one evaluator turns the grid into numbers.  A kernel
-transformed by an operator matrix (covariance of ``f = G[g]`` for a
-scalar prior on g) is bookkeeping over multi-indices, and applying a
-further operator to either argument composes exponents.  The diagonal
-kernel is the order-0 identity grid, and the curl-free kernel is the
-gradient-transformed grid scaled by l^2.
+Kernel algebra is operator-matrix algebra (:func:`fieldgp.operators.
+symbolic_product`).  The covariance of ``f = G[g]`` for a scalar prior on
+g is G adj(G), where adj transposes and maps d to -d because its
+operators act on the second argument; applying F to the first argument
+of P gives F P, to the second P adj(F).  The diagonal kernel is the
+constant identity and the curl-free kernel l^2 times the gradient
+product.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DimensionMismatch, OperatorMatrix, OperatorPoly
+from .operators import (DimensionMismatch, OperatorMatrix, OperatorPoly, construct_g,
+                        symbolic_product)
 
 #: Largest supported total derivative order (both arguments combined).
 MAX_DERIVATIVE_ORDER = 4
@@ -65,37 +67,23 @@ class SeHyperparams:
             raise ValueError(f"malformed hyperparams {d!r}: {exc!r}") from None
 
 
-class DerivativeMultiIndex(NamedTuple):
-    """Derivative exponents for the first (alpha) and second (beta) argument."""
-
-    alpha: tuple
-    beta: tuple
-
-    @property
-    def order(self):
-        return sum(self.alpha) + sum(self.beta)
-
-    def validate(self, dim):
-        if not len(self.alpha) == len(self.beta) == dim:
-            raise DimensionMismatch(f"multi-index is ({len(self.alpha)}, {len(self.beta)})-"
-                                    f"dimensional, points are {dim}-dimensional")
-        if any(e < 0 for e in self.alpha + self.beta):
-            raise ValueError("derivative exponents must be non-negative")
-        if self.order > MAX_DERIVATIVE_ORDER:
-            raise DerivativeOrderError(
-                f"total derivative order {self.order} exceeds the supported "
-                f"maximum {MAX_DERIVATIVE_ORDER}"
-            )
-
-
 def se_derivative(idx, x, x2, theta):
     """Exact mixed partial derivative of the SE kernel at a pair of points.
 
-    ``idx.alpha`` differentiates with respect to x, ``idx.beta`` with
-    respect to x2, both up to combined order MAX_DERIVATIVE_ORDER.
+    ``idx = (alpha, beta)``: alpha differentiates with respect to x, beta
+    with respect to x2, both up to combined order MAX_DERIVATIVE_ORDER.
+    It is the monomial (-1)^|beta| (d/dr)^(alpha + beta).
     """
-    idx = DerivativeMultiIndex(tuple(idx[0]), tuple(idx[1]))
-    return float(MatrixKernelExpr(np.shape(x)[-1], [[{idx: 1}]], theta).eval(x, x2)[0, 0])
+    alpha, beta = tuple(idx[0]), tuple(idx[1])
+    dim = np.shape(x)[-1]
+    if not len(alpha) == len(beta) == dim:
+        raise DimensionMismatch(f"multi-index is ({len(alpha)}, {len(beta)})-"
+                                f"dimensional, points are {dim}-dimensional")
+    if any(e < 0 for e in alpha + beta):
+        raise ValueError("derivative exponents must be non-negative")
+    gamma = tuple(a + b for a, b in zip(alpha, beta))
+    term = OperatorPoly.monomial(dim, gamma, -1 if sum(beta) % 2 else 1)
+    return float(MatrixKernelExpr(OperatorMatrix([[term]]), theta).eval(x, x2)[0, 0])
 
 
 def se_eval(x, x2, theta):
@@ -207,60 +195,43 @@ def _eval_block(plan, orders, ell, X, X2, out):
 
 
 class MatrixKernelExpr(MatrixKernel):
-    """Matrix kernel whose entries are derivative combinations of one SE kernel.
+    """An operator matrix in d/dr applied to one SE kernel.
 
-    ``entries[i][j]`` maps :class:`DerivativeMultiIndex` to a real
-    coefficient.  Construction validates the derivative-order budget and
-    drops exactly-cancelling terms, so an operator identity like
-    "divergence of a divergence-free kernel" reduces to an all-empty grid.
-    The entries stay symbolic for operator application.  They evaluate by
-    d^alpha/dx d^beta/dx' k = (-1)^|alpha| sv l^-|g| prod_d He_{g_d}(u_d) k/sv,
-    g = alpha + beta, so terms with equal g merge into one cell term.
+    Entry (i, j) is ``operator.entry(i, j)`` applied to k; the operator
+    stays symbolic, so further operators compose with it and an identity
+    like "divergence of a divergence-free kernel" cancels to the zero
+    matrix.  ``entries`` is its grid of terms dicts (monomial exponents
+    -> coefficient).  A monomial g evaluates by
+    d^g/dr^g k = (-1)^|g| sv l^-|g| prod_d He_{g_d}(u_d) k/sv.
     """
 
-    def __init__(self, in_dim, entries, theta):
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if rows == 0 or cols == 0:
-            raise ValueError("kernel expression must be nonempty")
-        clean = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged entry grid")
-            clean_row = []
-            for cell in row:
-                terms = {}
-                for idx, coeff in cell.items():
-                    idx = DerivativeMultiIndex(tuple(idx[0]), tuple(idx[1]))
-                    idx.validate(in_dim)
-                    if coeff == 0:
-                        continue
-                    terms[idx] = terms.get(idx, 0) + coeff
-                    if terms[idx] == 0:
-                        del terms[idx]
-                clean_row.append(terms)
-            clean.append(tuple(clean_row))
-        self.in_dim = in_dim
-        self.shape = (rows, cols)
-        self.entries = tuple(clean)
+    def __init__(self, operator, theta):
+        order = operator.max_degree()
+        if order > MAX_DERIVATIVE_ORDER:
+            raise DerivativeOrderError(
+                f"total derivative order {order} exceeds the supported "
+                f"maximum {MAX_DERIVATIVE_ORDER}"
+            )
+        self.operator = operator
+        self.in_dim = operator.vars
+        self.shape = (operator.rows, operator.cols)
         self.theta = theta
 
+    @property
+    def entries(self):
+        return tuple(tuple(poly.terms for poly in row) for row in self.operator.entries)
+
     def is_zero(self):
-        return all(not cell for row in self.entries for cell in row)
+        return self.operator.is_zero()
 
     def _cells(self):
         sv, ell = self.theta.signal_variance, self.theta.length_scale
-        for i, row in enumerate(self.entries):
-            for j, cell in enumerate(row):
-                merged = {}
-                for idx, coeff in cell.items():
-                    gamma = tuple((d, a + b) for d, (a, b)
-                                  in enumerate(zip(idx.alpha, idx.beta)) if a + b)
-                    sign = -1 if sum(idx.alpha) % 2 else 1
-                    merged[gamma] = merged.get(gamma, 0) + sign * coeff
+        for i, row in enumerate(self.operator.entries):
+            for j, poly in enumerate(row):
                 yield (i, j), tuple(sorted(
-                    (gamma, float(c) * sv * ell ** -sum(n for _, n in gamma))
-                    for gamma, c in merged.items() if c != 0))
+                    (tuple((d, n) for d, n in enumerate(mono) if n),
+                     float(-c if sum(mono) % 2 else c) * sv * ell ** -sum(mono))
+                    for mono, c in poly.terms.items()))
 
     eval_pairwise = MatrixKernel.eval_pairwise
 
@@ -286,18 +257,19 @@ class DiagonalKernel(MatrixKernel):
     eval_pairwise = MatrixKernel.eval_pairwise
 
     def as_expr(self, in_dim):
-        """The same kernel as an explicit derivative expression (for operator use)."""
-        zero = ((0,) * in_dim, (0,) * in_dim)
+        """The same kernel as the constant identity operator (for operator use)."""
+        one, zero = OperatorPoly.constant(in_dim, 1), OperatorPoly.zero(in_dim)
         k = self.shape[0]
-        entries = [[{DerivativeMultiIndex(*zero): 1} if i == j else {}
-                    for j in range(k)] for i in range(k)]
-        return MatrixKernelExpr(in_dim, entries, self.theta)
+        return MatrixKernelExpr(
+            OperatorMatrix([[one if i == j else zero for j in range(k)] for i in range(k)]),
+            self.theta)
 
 
 class CurlFreeKernel(MatrixKernelExpr):
     """3x3 kernel whose sample fields are gradients of a scalar SE potential.
 
-    It is l^2 * ``transform_kernel(grad, theta)``, with l^2 folded into the
+    It is l^2 times the gradient product grad adj(grad) (which is
+    ``transform_kernel(grad, theta)``), with l^2 folded into the
     coefficients: entry (a, b) is sv exp(-|u|^2/2) (delta_ab - u_a u_b), so
     sv stays the field variance.
     """
@@ -306,8 +278,9 @@ class CurlFreeKernel(MatrixKernelExpr):
         grad = OperatorMatrix([[OperatorPoly.monomial(3, e)]
                                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
         ell2 = theta.length_scale ** 2
-        super().__init__(3, [[{idx: ell2 * c for idx, c in cell.items()} for cell in row]
-                             for row in transform_kernel(grad, theta).entries], theta)
+        product = symbolic_product(grad, _adjoint(grad))
+        super().__init__(OperatorMatrix([[ell2 * poly for poly in row]
+                                         for row in product.entries]), theta)
 
     eval_pairwise = MatrixKernel.eval_pairwise
 
@@ -334,10 +307,10 @@ class SumKernel(MatrixKernel):
 def transform_kernel(G, theta, per_column_thetas=None):
     """Covariance of ``f = G[g]`` for independent scalar SE priors on g.
 
-    ``G`` is an n x P operator matrix over the input dimension; entry
-    (i, j) of the result sums, over potential components c, the term
-    "column-c operator of row i applied to the first argument times the
-    column-c operator of row j applied to the second argument".
+    ``G`` is an n x P operator matrix over the input dimension.  The
+    result is the operator matrix G adj(G) in d/dr applied to one SE
+    kernel: entry (i, j) sums, over potential components c, G_ic acting
+    on the first argument times G_jc acting on the second.
 
     With ``per_column_thetas`` each potential component gets its own
     hyperparameters and the result is a :class:`SumKernel`; by default a
@@ -351,58 +324,32 @@ def transform_kernel(G, theta, per_column_thetas=None):
         parts = [transform_kernel(OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)]), th)
                  for c, th in enumerate(per_column_thetas)]
         return parts[0] if len(parts) == 1 else SumKernel(parts)
-    n, in_dim = G.rows, G.vars
-    entries = [[{} for _ in range(n)] for _ in range(n)]
-    for c in range(G.cols):
-        for i in range(n):
-            for j in range(n):
-                cell = entries[i][j]
-                for mono_i, c_i in G.entry(i, c).terms.items():
-                    for mono_j, c_j in G.entry(j, c).terms.items():
-                        idx = DerivativeMultiIndex(mono_i, mono_j)
-                        cell[idx] = cell.get(idx, 0) + c_i * c_j
-    return MatrixKernelExpr(in_dim, entries, theta)
+    return MatrixKernelExpr(symbolic_product(G, _adjoint(G)), theta)
 
 
 def apply_operator_to_expr(F, expr, side):
     """Apply an operator matrix to one argument of a matrix kernel expression.
 
     ``side="left"`` returns F_x K (operators act on the first argument of
-    every entry); ``side="right"`` returns K F_x'^T (operators act on the
-    second argument).  Either composition can cancel symbolically; the
-    all-zero expression is a valid result.
+    every entry), the operator product F P; ``side="right"`` returns
+    K F_x'^T (operators act on the second argument), P adj(F).  Either
+    composition can cancel symbolically; the all-zero expression is a
+    valid result.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if not isinstance(expr, MatrixKernelExpr):
         raise TypeError("expr must be a MatrixKernelExpr")
-    if F.vars != expr.in_dim:
-        raise DimensionMismatch("operator and kernel dimensions differ")
-    if side == "right":
-        # K F'^T is the argument swap of F applied to the argument swap of K
-        return _swap_arguments(apply_operator_to_expr(F, _swap_arguments(expr), "left"))
-    rows, cols = expr.shape
-    if F.cols != rows:
-        raise DimensionMismatch(f"F has {F.cols} columns but the kernel has {rows} rows")
-    out = [[{} for _ in range(cols)] for _ in range(F.rows)]
-    for i in range(F.rows):
-        for k in range(F.cols):
-            for mono, c_op in F.entry(i, k).terms.items():
-                for j in range(cols):
-                    for idx, c in expr.entries[k][j].items():
-                        new = DerivativeMultiIndex(
-                            tuple(a + m for a, m in zip(idx.alpha, mono)), idx.beta)
-                        out[i][j][new] = out[i][j].get(new, 0) + c_op * c
-    return MatrixKernelExpr(expr.in_dim, out, expr.theta)
+    if side == "left":
+        return MatrixKernelExpr(symbolic_product(F, expr.operator), expr.theta)
+    return MatrixKernelExpr(symbolic_product(expr.operator, _adjoint(F)), expr.theta)
 
 
-def _swap_arguments(expr):
-    """The expression of K(x', x)^T: entries transposed, alpha and beta swapped."""
-    rows, cols = expr.shape
-    return MatrixKernelExpr(
-        expr.in_dim, [[{DerivativeMultiIndex(idx.beta, idx.alpha): c
-                        for idx, c in expr.entries[i][j].items()} for i in range(rows)]
-                      for j in range(cols)], expr.theta)
+def _adjoint(F):
+    """F acting on the second argument, in d/dr: transposed, and d/dx' = -d/dr."""
+    return OperatorMatrix([[OperatorPoly(F.vars, {mono: -c if sum(mono) % 2 else c
+                                                  for mono, c in F.entry(i, j).terms.items()})
+                            for i in range(F.rows)] for j in range(F.cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +364,13 @@ def kernel_from_spec(spec, default_out_dim=None):
     ``"g_operator"`` (an operator spec, or "auto-from-F" together with
     ``"f_operator"``) for transformed kernels.
     """
-    from .operators import construct_g  # local import to keep module load light
-
     if not isinstance(spec, dict):
         raise ValueError(f"kernel spec must be an object, not {type(spec).__name__}")
     kind = spec.get("type")
     theta = SeHyperparams.from_dict(spec.get("hyperparams", {}))
     if kind == "diagonal":
-        out_dim = int(spec.get("out_dim", default_out_dim or 1))
-        return DiagonalKernel(theta, out_dim, in_dim=spec.get("in_dim"))
+        out_dim = _spec_int(spec, "out_dim", default_out_dim or 1)
+        return DiagonalKernel(theta, out_dim, in_dim=_spec_int(spec, "in_dim", None))
     if kind == "curl_free_3d":
         return CurlFreeKernel(theta)
     if kind == "transformed":
@@ -434,8 +379,18 @@ def kernel_from_spec(spec, default_out_dim=None):
             if "f_operator" not in spec:
                 raise ValueError("auto-from-F requires an 'f_operator' spec")
             F = OperatorMatrix.from_json_dict(spec["f_operator"])
-            G, _ = construct_g(F, max_degree=int(spec.get("max_degree", 3)))
+            G, _ = construct_g(F, max_degree=_spec_int(spec, "max_degree", 3))
         else:
             G = OperatorMatrix.from_json_dict(g_spec)
         return transform_kernel(G, theta)
     raise ValueError(f"unknown kernel type {kind!r}")
+
+
+def _spec_int(spec, key, default):
+    """The integer ``spec[key]``, or ``default`` when the key is absent."""
+    if key not in spec:
+        return default
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"kernel spec {key!r} must be an integer, not {value!r}")
+    return value

@@ -407,10 +407,13 @@ def symbolic_product(F, G):
     for i in range(F.rows):
         row = []
         for k in range(G.cols):
-            acc = OperatorPoly.zero(F.vars)
+            acc = {}
             for j in range(F.cols):
-                acc = acc + F.entry(i, j) * G.entry(j, k)
-            row.append(acc)
+                for m1, c1 in F.entry(i, j).terms.items():
+                    for m2, c2 in G.entry(j, k).terms.items():
+                        mono = tuple(a + b for a, b in zip(m1, m2))
+                        acc[mono] = acc.get(mono, 0) + c1 * c2
+            row.append(OperatorPoly(F.vars, acc))
         grid.append(row)
     return OperatorMatrix(grid)
 

@@ -62,11 +62,13 @@ def term_loop(expr, X, X2):
     diff = X[:, None, :] - X2[None, :, :]
     rows, cols = expr.shape
     out = np.zeros((X.shape[0], X2.shape[0], rows, cols))
+    zero = (0,) * X.shape[1]
     for i in range(rows):
         for j in range(cols):
-            for idx, coeff in expr.entries[i][j].items():
+            # a monomial in d/dr is the same derivative in d/dx
+            for mono, coeff in expr.entries[i][j].items():
                 out[:, :, i, j] += float(coeff) * se_derivative_batch(
-                    idx.alpha, idx.beta, diff, expr.theta)
+                    mono, zero, diff, expr.theta)
     return out
 
 

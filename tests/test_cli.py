@@ -250,6 +250,9 @@ def test_predict_bad_points_file_exit_1(tmp_path, bad_file, content):
 
 
 _DIV_ENTRY = {"row": 0, "col": 0, "terms": [{"coeff": 1, "exponents": [1, 0]}]}
+_HYPER = {"signal_variance": 1.0, "length_scale": 1.0, "noise_variance": 1e-6}
+# none is an integer, though int() would accept 2.5 (as 2) and true (as 1)
+_NOT_INTEGERS = ([1], 2.5, True)
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -263,8 +266,16 @@ _DIV_ENTRY = {"row": 0, "col": 0, "terms": [{"coeff": 1, "exponents": [1, 0]}]}
                                   "terms": [{"coeff": "1/0", "exponents": [1, 0]}]}]}),
     ("predict", [1]),
     ("predict", {"type": "curl_free_3d", "hyperparams": [1]}),
+    *[("predict", {"type": "diagonal", "out_dim": value, "hyperparams": _HYPER})
+      for value in _NOT_INTEGERS],
+    *[("predict", {"type": "transformed", "g_operator": "auto-from-F",
+                   "f_operator": make_curl_operator_3d().to_json_dict(),
+                   "max_degree": value, "hyperparams": _HYPER})
+      for value in _NOT_INTEGERS],
 ], ids=["entry_without_row", "term_without_exponents", "entries_not_a_list",
-        "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object"])
+        "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object",
+        "out_dim_list", "out_dim_fraction", "out_dim_bool",
+        "max_degree_list", "max_degree_fraction", "max_degree_bool"])
 def test_malformed_spec_exit_1(tmp_path, command, doc):
     spec = write_json(tmp_path / "spec.json", doc)
     if command == "construct-g":
@@ -281,6 +292,9 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("fieldgp: error:")
+    for key in ("out_dim", "max_degree"):
+        if isinstance(doc, dict) and key in doc:
+            assert f"kernel spec {key!r} must be an integer" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

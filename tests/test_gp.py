@@ -5,8 +5,9 @@ import pytest
 
 from fieldgp.baseline import augment
 from fieldgp.gp import (
+    JITTER_BASE_SCALE,
+    JITTER_MAX_ESCALATIONS,
     Dataset,
-    JitterPolicy,
     NotPositiveDefinite,
     OptConfig,
     assemble_gram,
@@ -105,14 +106,15 @@ def test_cholesky_not_pd():
 
 
 def test_cholesky_policy_escalation_count(rng):
-    policy = JitterPolicy(base_scale=1e-12, max_escalations=0)
+    # the jitter is base * tr(M)/n * 10^k, k <= the maximum escalation,
+    # formed by repeated multiplication by 10 (so compared exactly)
     v = rng.standard_normal(40)
     M = np.outer(v, v)
-    try:
-        _, jitter = cholesky_jitter(M, policy)
-        assert jitter == pytest.approx(1e-12 * np.trace(M) / 40)
-    except NotPositiveDefinite:
-        pass  # allowed: single step may be too small for this draw
+    _, jitter = cholesky_jitter(M)
+    schedule = [JITTER_BASE_SCALE * (np.trace(M) / 40)]
+    for _ in range(JITTER_MAX_ESCALATIONS):
+        schedule.append(schedule[-1] * 10.0)
+    assert jitter in schedule
 
 
 # ---------------------------------------------------------------------------

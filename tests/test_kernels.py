@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldgp.checks import fd_apply_operator
 from fieldgp.gp import assemble_gram
 from fieldgp.kernels import (
     CurlFreeKernel,
-    DerivativeMultiIndex,
     DerivativeOrderError,
     DiagonalKernel,
     MatrixKernelExpr,
@@ -21,6 +21,7 @@ from fieldgp.kernels import (
     transform_kernel,
 )
 from fieldgp.operators import (
+    DimensionMismatch,
     OperatorMatrix,
     OperatorPoly,
     construct_g,
@@ -116,6 +117,10 @@ def test_se_derivative_order_limit():
     x = np.zeros(2)
     with pytest.raises(DerivativeOrderError):
         se_derivative(((3, 0), (2, 0)), x, x, THETA)
+    with pytest.raises(DimensionMismatch):
+        se_derivative(((1, 0), (0,)), x, x, THETA)
+    with pytest.raises(ValueError, match="non-negative"):
+        se_derivative(((-1, 0), (1, 0)), x, x, THETA)  # sums to a valid order 0
 
 
 def test_hyperparameter_validation():
@@ -132,14 +137,15 @@ def test_hyperparameter_validation():
 
 
 def test_transform_kernel_divergence_free_structure():
-    # the 2x2 grid of second derivatives induced by the planar annihilator
+    # the 2x2 grid of second derivatives in d/dr induced by the planar
+    # annihilator: d/dx' = -d/dr, so d_y d_y' k is -d_y^2 k
     G, _ = construct_g(make_divergence_operator(2))
     expr = transform_kernel(G, THETA)
     assert expr.shape == (2, 2)
-    assert expr.entries[0][0] == {DerivativeMultiIndex((0, 1), (0, 1)): 1}
-    assert expr.entries[0][1] == {DerivativeMultiIndex((0, 1), (1, 0)): -1}
-    assert expr.entries[1][0] == {DerivativeMultiIndex((1, 0), (0, 1)): -1}
-    assert expr.entries[1][1] == {DerivativeMultiIndex((1, 0), (1, 0)): 1}
+    assert expr.entries[0][0] == {(0, 2): -1}
+    assert expr.entries[0][1] == {(1, 1): 1}
+    assert expr.entries[1][0] == {(1, 1): 1}
+    assert expr.entries[1][1] == {(2, 0): -1}
 
 
 def test_transform_kernel_identity_is_base_kernel(rng):
@@ -153,12 +159,12 @@ def test_transform_kernel_gradient_structure():
     expr = transform_kernel(gradient_operator_3d(), THETA)
     for i in range(3):
         for j in range(3):
-            e_i = tuple(1 if d == i else 0 for d in range(3))
-            e_j = tuple(1 if d == j else 0 for d in range(3))
-            assert expr.entries[i][j] == {DerivativeMultiIndex(e_i, e_j): 1}
+            e_ij = tuple((d == i) + (d == j) for d in range(3))
+            assert expr.entries[i][j] == {e_ij: -1}
 
 
 def test_transform_kernel_hermitian_mirror():
+    # K_ij(x, x') = K_ji(x', x), and swapping the arguments maps r to -r
     for G in (construct_g(make_divergence_operator(2))[0],
               construct_g(make_divergence_operator(3))[0],
               gradient_operator_3d()):
@@ -166,8 +172,8 @@ def test_transform_kernel_hermitian_mirror():
         n = expr.shape[0]
         for i in range(n):
             for j in range(n):
-                mirrored = {DerivativeMultiIndex(idx.beta, idx.alpha): c
-                            for idx, c in expr.entries[j][i].items()}
+                mirrored = {mono: -c if sum(mono) % 2 else c
+                            for mono, c in expr.entries[j][i].items()}
                 assert expr.entries[i][j] == mirrored
 
 
@@ -298,8 +304,8 @@ def test_apply_operator_divergence_on_diagonal(rng):
     expr = DiagonalKernel(THETA, 2).as_expr(2)
     applied = apply_operator_to_expr(F, expr, side="left")
     assert applied.shape == (1, 2)
-    assert applied.entries[0][0] == {DerivativeMultiIndex((1, 0), (0, 0)): 1}
-    assert applied.entries[0][1] == {DerivativeMultiIndex((0, 1), (0, 0)): 1}
+    assert applied.entries[0][0] == {(1, 0): 1}
+    assert applied.entries[0][1] == {(0, 1): 1}
     for _ in range(5):
         x, x2 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         got = applied.eval(x, x2)
@@ -308,6 +314,41 @@ def test_apply_operator_divergence_on_diagonal(rng):
         for c in range(2):
             fd_c = fd_operator_rows(F, lambda p: scalar(p, c), x, h=1e-5)
             assert got[0, c] == pytest.approx(float(fd_c[0]), rel=1e-6, abs=1e-9)
+
+
+@st.composite
+def _first_order_operators(draw):
+    # rows x cols entries c_0 + sum_d c_d d/dx_d with small integer coefficients
+    dim = draw(st.sampled_from((2, 3)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    monos = [(0,) * dim] + [tuple(int(e == d) for e in range(dim)) for d in range(dim)]
+    coeff = st.integers(-2, 2)
+    return OperatorMatrix([[OperatorPoly(dim, {m: draw(coeff) for m in monos})
+                            for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(F=_first_order_operators(), data=st.data(),
+       sv=st.floats(0.5, 2.0), ls=st.floats(0.5, 2.0))
+def test_second_argument_derivative_sign(F, data, sv, ls):
+    # operators on x' are checked by differencing x' itself, not by reading
+    # the expression's own terms: d/dx' = -d/dr must show in the numbers
+    theta = SeHyperparams(sv, ls)
+    dim = F.vars
+    point = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    x = np.array(data.draw(point)) * ls
+    x2 = np.array(data.draw(point)) * ls
+    h = 1e-4 * ls
+    # F acting on the second argument of a diagonal kernel: K F'^T
+    prior = DiagonalKernel(theta, F.cols).as_expr(dim)
+    right = apply_operator_to_expr(F, prior, side="right").eval(x, x2)
+    fd = fd_apply_operator(F, lambda p: prior.eval(x, p).T, x2, h).T
+    scale = sv * max(1.0, ls ** -2)
+    assert np.max(np.abs(right - fd)) <= 1e-6 * scale
+    # F k F'^T: the first argument symbolically, the second by differences
+    left = apply_operator_to_expr(F, prior, side="left")
+    fd = fd_apply_operator(F, lambda p: left.eval(x, p).T, x2, h).T
+    assert np.max(np.abs(transform_kernel(F, theta).eval(x, x2) - fd)) <= 1e-6 * scale
 
 
 def test_apply_operator_order_overflow():
