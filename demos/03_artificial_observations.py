@@ -41,13 +41,13 @@ truth = simulated_field(grid, 0.01)
 theta = fit_hyperparameters(data, lambda th: DiagonalKernel(th, 2),
                             SeHyperparams(float(np.var(Y)), 1.0, 1e-8),
                             OptConfig(restarts=2, maxiter=120, seed=0)).theta
-expr = DiagonalKernel(theta, 2).as_expr(2)
+prior = DiagonalKernel(theta, 2, in_dim=2)
 
 print("artificial constraint observations on the diagonal kernel:")
 print(f"{'Nc':>5s} {'joint dim':>10s} {'jitter':>10s} {'rmse':>8s}")
 for nc in (0, 25, 50, 100, 200, 400):
     pts = grid[rng.choice(grid.shape[0], size=nc, replace=False)]
-    model = augment(data, F, pts, expr)
+    model = augment(data, F, pts, prior)
     error = rmse(predict(model, grid).means, truth)
     print(f"{nc:>5d} {model.joint_dim:>10d} {model.jitter:>10.2e} {error:>8.4f}")
 

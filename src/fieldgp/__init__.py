@@ -22,8 +22,8 @@ from .gp import (Dataset, FitResult, GpModel, NotPositiveDefinite, ObservationBl
                  predict)
 from .kernels import (MAX_DERIVATIVE_ORDER, CurlFreeKernel, DerivativeOrderError,
                       DiagonalKernel, MatrixKernelExpr, SeHyperparams, SumKernel,
-                      apply_operator_to_expr, kernel_from_spec, se_derivative, se_eval,
-                      transform_kernel)
+                      apply_operator_to_expr, covariance_operator, kernel_family_from_spec,
+                      kernel_from_spec, se_derivative, se_eval, transform_kernel)
 from .operators import (MIXED, AnsatzBasis, AnsatzSystem, DimensionMismatch,
                         GammaSolution, NoAnnihilatorFound, OperatorMatrix,
                         OperatorPoly, build_ansatz_system, construct_g,

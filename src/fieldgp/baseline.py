@@ -25,8 +25,9 @@ def augment(data, F, points, kernel):
     ----------
     F : OperatorMatrix with as many columns as the field has components.
     points : (Nc, D) locations where F[f] = 0 is observed (may be empty).
-    kernel : MatrixKernelExpr prior covariance of the field; an explicit
-        expression is required so F can be applied to its arguments.
+    kernel : MatrixKernelExpr prior covariance of the field over D input
+        variables, so F can be applied to its arguments: a fitted
+        ``DiagonalKernel(theta, K, in_dim=D)``, for instance.
 
     Returns a :class:`fieldgp.gp.GpModel`; its ``joint_dim`` counts the
     data rows plus Nc * rows(F) constraint rows.  The constraint rows

@@ -72,8 +72,12 @@ class ConstraintCheckReport:
         return self.n_samples == 0 or self.max_relative_violation <= tol
 
 
-def check_kernel_constraint(F, kernel, n_samples=100, seed=0, h=None,
-                            box=2.0):
+#: Finite-difference step and the half-width of the sampling box, in length scales.
+FD_STEP = 1e-4
+SAMPLE_BOX = 2.0
+
+
+def check_kernel_constraint(F, kernel, n_samples=100, seed=0):
     """Check F applied to the first argument of a kernel at random pairs.
 
     For each sampled pair (x, x2), every column of K(., x2) is pushed
@@ -85,13 +89,12 @@ def check_kernel_constraint(F, kernel, n_samples=100, seed=0, h=None,
         raise ValueError("operator columns must match the kernel output dimension")
     rng = np.random.default_rng(seed)
     ell = kernel.theta.length_scale
-    if h is None:
-        h = 1e-4 * ell
+    h = FD_STEP * ell
     max_abs = 0.0
     scale = 0.0
     for _ in range(n_samples):
-        x = rng.uniform(-box, box, size=F.vars) * ell
-        x2 = rng.uniform(-box, box, size=F.vars) * ell
+        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=F.vars) * ell
+        x2 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=F.vars) * ell
         scale = max(scale, float(np.max(np.abs(kernel.eval(x, x2)))),
                     float(np.max(np.abs(kernel.eval(x2, x2)))))
         applied = fd_apply_operator(F, lambda p: kernel.eval(p, x2), x, h)

@@ -23,7 +23,7 @@ from .checks import check_kernel_constraint
 from .experiments import (ExperimentConfig, emit_report, load_field_csv,
                           read_csv_columns, run_real_data, run_simulated)
 from .gp import Dataset, OptConfig, fit_gp, fit_hyperparameters, predict
-from .kernels import SeHyperparams, kernel_from_spec, transform_kernel
+from .kernels import SeHyperparams, kernel_family_from_spec, transform_kernel
 from .operators import NoAnnihilatorFound, OperatorMatrix, construct_g
 
 EXIT_OK = 0
@@ -176,12 +176,11 @@ def _cmd_predict(args):
     X, B = load_field_csv(args.data)
     points = read_csv_columns(args.points, [f"x{i + 1}" for i in range(X.shape[1])])
     spec = _load_json(args.kernel_spec)
-    kernel = kernel_from_spec(spec, default_out_dim=B.shape[1])
-    data = Dataset(X, B, noise_std=float(np.sqrt(kernel.theta.noise_variance)))
+    family, theta = kernel_family_from_spec(spec, default_out_dim=B.shape[1])
+    kernel = family(theta)
+    data = Dataset(X, B, noise_std=float(np.sqrt(theta.noise_variance)))
     if not args.no_fit:
-        family = lambda th: kernel_from_spec(
-            {**spec, "hyperparams": th.to_dict()}, default_out_dim=B.shape[1])
-        fit = fit_hyperparameters(data, family, kernel.theta,
+        fit = fit_hyperparameters(data, family, theta,
                                   OptConfig(seed=args.seed, learn_noise=True))
         kernel = family(fit.theta)
         data = Dataset(X, B, noise_std=float(np.sqrt(fit.theta.noise_variance)))

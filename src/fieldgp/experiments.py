@@ -19,15 +19,17 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .baseline import augment, predict_augmented
 from .gp import Dataset, NotPositiveDefinite, OptConfig, fit_gp, fit_hyperparameters, predict
-from .kernels import CurlFreeKernel, DiagonalKernel, SeHyperparams, transform_kernel
+from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
+                      covariance_operator)
 from .operators import construct_g, make_curl_operator_3d, make_divergence_operator
 
 logger = logging.getLogger(__name__)
@@ -59,55 +61,54 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and not _is_int(value):
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
+            if f.type is float and not _is_number(value):
+                raise ValueError(f"{f.name} must be a number, not {value!r}")
+            if f.type is bool and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, not {value!r}")
+        lists = (list, tuple)
+        if not (isinstance(self.domain, lists) and all(
+                isinstance(b, lists) and len(b) == 2 and all(map(_is_number, b))
+                for b in self.domain)):
+            raise ValueError(f"domain must be a list of [low, high] pairs, not {self.domain!r}")
+        if not (isinstance(self.nc_schedule, lists) and all(map(_is_int, self.nc_schedule))):
+            raise ValueError(f"nc_schedule must be a list of integers, not {self.nc_schedule!r}")
+        if not (isinstance(self.methods, lists) and all(isinstance(m, str) for m in self.methods)):
+            raise ValueError(f"methods must be a list of method names, not {self.methods!r}")
         self.domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         self.nc_schedule = tuple(int(n) for n in self.nc_schedule)
         self.methods = tuple(self.methods)
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ValueError("domain bounds must be ordered")
-        for name, value in (("n_train", self.n_train), ("grid_size", self.grid_size),
-                            ("repetitions", self.repetitions),
-                            ("train_size", self.train_size),
-                            ("test_size", self.test_size)):
-            if value < 1:
+        for name in ("n_train", "grid_size", "repetitions", "train_size", "test_size"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if any(n < 0 for n in self.nc_schedule):
             raise ValueError("nc_schedule entries must be >= 0")
 
-    def to_json_dict(self):
-        return {
-            "domain": [list(b) for b in self.domain],
-            "n_train": self.n_train,
-            "nc_schedule": list(self.nc_schedule),
-            "grid_size": self.grid_size,
-            "noise_std": self.noise_std,
-            "field_param_a": self.field_param_a,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "restarts": self.restarts,
-            "maxiter": self.maxiter,
-            "learn_noise": self.learn_noise,
-            "record_timing": self.record_timing,
-        }
-
     @classmethod
     def from_json_dict(cls, doc):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "domain" in kwargs:
-            kwargs["domain"] = tuple(tuple(b) for b in kwargs["domain"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -229,7 +230,7 @@ def run_simulated(config):
         raise ValueError("the simulated benchmark is two-dimensional")
     keys = _result_keys(config, SIM_METHODS)
     divergence = make_divergence_operator(2)
-    G, _ = construct_g(divergence)
+    P = covariance_operator(construct_g(divergence)[0])
     grid = prediction_grid(config.domain, config.grid_size)
     truth = simulated_field(grid, config.field_param_a)
     lows = np.array([lo for lo, _ in config.domain])
@@ -243,7 +244,7 @@ def run_simulated(config):
 
     collector, field_errors = _run_repetitions(
         config, draw, divergence, "constrained",
-        lambda th: transform_kernel(G, th), derivative_prior=True)
+        lambda th: MatrixKernelExpr(P, th), derivative_prior=True)
     table = FieldErrorTable(points=grid, errors=field_errors) if field_errors else None
     return RmseReport(rows=collector.rows(keys), field_error=table)
 
@@ -311,17 +312,16 @@ def _run_repetitions(config, draw, F, constrained, constrained_family,
                         learn_noise=config.learn_noise,
                         seed=int(rng.integers(2 ** 31)))
 
-        theta_diag = None
+        diagonal = None
         if "diagonal" in config.methods or "artificial" in config.methods:
             key = ("diagonal", 0)
             t0 = time.perf_counter()
             try:
                 fit = fit_hyperparameters(
-                    data, lambda th: DiagonalKernel(th, k),
+                    data, lambda th: DiagonalKernel(th, k, in_dim=dim),
                     _init_theta(data, noise_var), opt)
-                theta_diag = fit.theta
-                model = fit_gp(data, DiagonalKernel(fit.theta, k),
-                               noise_variance=fit.theta.noise_variance)
+                diagonal = DiagonalKernel(fit.theta, k, in_dim=dim)
+                model = fit_gp(data, diagonal, noise_variance=fit.theta.noise_variance)
                 pred = predict(model, points)
                 if "diagonal" in config.methods:
                     collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
@@ -349,10 +349,9 @@ def _run_repetitions(config, draw, F, constrained, constrained_family,
             except _FAILURES as exc:
                 collector.fail(key, rep, exc)
 
-        if "artificial" in config.methods and theta_diag is not None:
-            expr = DiagonalKernel(theta_diag, k).as_expr(dim)
+        if "artificial" in config.methods and diagonal is not None:
             data_aug = Dataset(data.inputs, data.outputs, noise_std=float(
-                np.sqrt(theta_diag.noise_variance)))
+                np.sqrt(diagonal.theta.noise_variance)))
             n_points = points.shape[0]
             for nc in config.nc_schedule:
                 key = ("artificial", nc)
@@ -360,7 +359,7 @@ def _run_repetitions(config, draw, F, constrained, constrained_family,
                 try:
                     pts = points[rng.choice(n_points, size=min(nc, n_points),
                                             replace=False)]
-                    model = augment(data_aug, F, pts, expr)
+                    model = augment(data_aug, F, pts, diagonal)
                     pred = predict_augmented(model, points)
                     collector.ok(key, t0, rmse(pred.means, truth),
                                  model.jitter, config.record_timing)

@@ -10,11 +10,11 @@ numbers.
 
 Kernel algebra is operator-matrix algebra (:func:`fieldgp.operators.
 symbolic_product`).  The covariance of ``f = G[g]`` for a scalar prior on
-g is G adj(G), where adj transposes and maps d to -d because its
-operators act on the second argument; applying F to the first argument
-of P gives F P, to the second P adj(F).  The diagonal kernel is the
-constant identity and the curl-free kernel l^2 times the gradient
-product.
+g is G adj(G) (:func:`covariance_operator`), where adj transposes and
+maps d to -d because its operators act on the second argument; applying
+F to the first argument of P gives F P, to the second P adj(F).  The
+diagonal kernel is the constant identity (G = I) and the curl-free
+kernel l^2 times the gradient product.
 """
 
 from dataclasses import dataclass
@@ -47,13 +47,6 @@ class SeHyperparams:
             raise ValueError("length_scale must be positive and finite")
         if not (self.noise_variance >= 0 and np.isfinite(self.noise_variance)):
             raise ValueError("noise_variance must be >= 0 and finite")
-
-    def to_dict(self):
-        return {
-            "signal_variance": self.signal_variance,
-            "length_scale": self.length_scale,
-            "noise_variance": self.noise_variance,
-        }
 
     @classmethod
     def from_dict(cls, d):
@@ -97,18 +90,14 @@ def se_eval(x, x2, theta):
 
 
 class MatrixKernel:
-    """Base for matrix kernels whose entries are derivatives of one SE kernel.
+    """Base of the matrix kernels: a (rows, cols) shape and pairwise evaluation.
 
-    A family lists its nonzero entries through ``_cells()`` as
-    ((i, j), terms) with terms a sorted tuple of (gamma, coeff): gamma is a
-    sparse multi-index of (dimension, order) pairs.  With u = (x - x')/l,
-    entry (i, j) is sum coeff * prod_{(d, n) in gamma} He_n(u_d) * exp(-|u|^2/2).
+    Subclasses provide ``eval_pairwise(X, X2)`` in the point-major block
+    layout (N1, rows, N2, cols) and a ``theta``.
     """
 
     shape = None  # (rows, cols)
     theta = None
-    in_dim = None
-    _plan = None
 
     @property
     def out_dim(self):
@@ -116,28 +105,6 @@ class MatrixKernel:
         if r != c:
             raise ValueError("kernel is not square")
         return r
-
-    def eval_pairwise(self, X, X2):
-        """Kernel matrices of every pair of rows of X (N1, D) and X2 (N2, D).
-
-        Returns the point-major block layout (N1, rows, N2, cols): entry
-        [a, i, b, j] is component (i, j) of k(X[a], X2[b]), so reshaping
-        to (N1*rows, N2*cols) gives the block Gram matrix without a copy.
-        """
-        X = np.asarray(X, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        dim = X.shape[1]
-        if X2.shape[1] != dim or self.in_dim not in (None, dim):
-            raise DimensionMismatch("point dimension does not match kernel")
-        if self._plan is None:
-            self._plan = _compile(self._cells())
-        rows, cols = self.shape
-        out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
-        step = max(1, _BLOCK_PAIRS // max(X2.shape[0], 1))
-        for lo in range(0, X.shape[0], step):
-            _eval_block(*self._plan, self.theta.length_scale,
-                        X[lo:lo + step], X2, out[lo:lo + step])
-        return out
 
     def eval(self, x, x2):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -152,24 +119,33 @@ class MatrixKernel:
 _BLOCK_PAIRS = 1 << 14
 
 
-def _compile(cells):
-    """(plan, highest Hermite order per dimension) for a kernel's cells.
+def _compile(operator, theta):
+    """(plan, highest Hermite order per dimension) for an operator applied to k.
 
-    Plan entries are (i, j, source, terms); ``source`` is an earlier entry
-    with identical terms, whose values are copied, or None.
+    Plan entries are (i, j, source, terms) for the nonzero entries: terms
+    is a sorted tuple of (gamma, coeff) with gamma a sparse multi-index of
+    (dimension, order) pairs, so with u = (x - x')/l the entry is
+    sum coeff * prod_{(d, n) in gamma} He_n(u_d) * exp(-|u|^2/2); source is
+    an earlier entry with identical terms, whose values are copied, or None.
     """
+    sv, ell = theta.signal_variance, theta.length_scale
     plan, first, orders = [], {}, {}
-    for (i, j), terms in cells:
-        if terms:
-            source = first.setdefault(terms, (i, j))
-            plan.append((i, j, None if source == (i, j) else source, terms))
-            for d, n in (g for gamma, _ in terms for g in gamma):
-                orders[d] = max(orders.get(d, 0), n)
+    for i, row in enumerate(operator.entries):
+        for j, poly in enumerate(row):
+            terms = tuple(sorted(
+                (tuple((d, n) for d, n in enumerate(mono) if n),
+                 float(-c if sum(mono) % 2 else c) * sv * ell ** -sum(mono))
+                for mono, c in poly.terms.items()))
+            if terms:
+                source = first.setdefault(terms, (i, j))
+                plan.append((i, j, None if source == (i, j) else source, terms))
+                for d, n in (g for gamma, _ in terms for g in gamma):
+                    orders[d] = max(orders.get(d, 0), n)
     return plan, orders
 
 
 def _eval_block(plan, orders, ell, X, X2, out):
-    """Write the compiled cells for the pairs of X and X2 into ``out``."""
+    """Write the compiled entries for the pairs of X and X2 into ``out``."""
     u = [np.subtract.outer(X[:, d], X2[:, d]) / ell for d in range(X.shape[1])]
     k = u[0] * u[0]
     for u_d in u[1:]:
@@ -216,6 +192,7 @@ class MatrixKernelExpr(MatrixKernel):
         self.in_dim = operator.vars
         self.shape = (operator.rows, operator.cols)
         self.theta = theta
+        self._plan = None
 
     @property
     def entries(self):
@@ -224,45 +201,50 @@ class MatrixKernelExpr(MatrixKernel):
     def is_zero(self):
         return self.operator.is_zero()
 
-    def _cells(self):
-        sv, ell = self.theta.signal_variance, self.theta.length_scale
-        for i, row in enumerate(self.operator.entries):
-            for j, poly in enumerate(row):
-                yield (i, j), tuple(sorted(
-                    (tuple((d, n) for d, n in enumerate(mono) if n),
-                     float(-c if sum(mono) % 2 else c) * sv * ell ** -sum(mono))
-                    for mono, c in poly.terms.items()))
+    def eval_pairwise(self, X, X2):
+        """Kernel matrices of every pair of rows of X (N1, D) and X2 (N2, D).
 
-    eval_pairwise = MatrixKernel.eval_pairwise
+        Returns the point-major block layout (N1, rows, N2, cols): entry
+        [a, i, b, j] is component (i, j) of k(X[a], X2[b]), so reshaping
+        to (N1*rows, N2*cols) gives the block Gram matrix without a copy.
+        """
+        X = np.asarray(X, dtype=float)
+        X2 = np.asarray(X2, dtype=float)
+        dim = X.shape[1]
+        if X2.shape[1] != dim or self.in_dim not in (None, dim):
+            raise DimensionMismatch("point dimension does not match kernel")
+        if self._plan is None:
+            self._plan = _compile(self.operator, self.theta)
+        rows, cols = self.shape
+        out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
+        step = max(1, _BLOCK_PAIRS // max(X2.shape[0], 1))
+        for lo in range(0, X.shape[0], step):
+            _eval_block(*self._plan, self.theta.length_scale,
+                        X[lo:lo + step], X2, out[lo:lo + step])
+        return out
 
 
-class DiagonalKernel(MatrixKernel):
-    """Independent-output kernel: the scalar SE kernel times the identity.
+class DiagonalKernel(MatrixKernelExpr):
+    """Independent-output kernel: the constant K x K identity applied to k.
 
-    Its cells are the order-0 term on the diagonal, so any input dimension
-    works; ``in_dim``, when given, is checked against the points.
+    The identity is over ``in_dim`` variables, or over one variable when
+    ``in_dim`` is None.  Constant entries index no dimension, so the
+    kernel then evaluates at any input dimension, but an operator over
+    D > 1 variables applies to it only when ``in_dim`` is D.
     """
 
     def __init__(self, theta, out_dim, in_dim=None):
         if out_dim < 1:
             raise ValueError("out_dim must be >= 1")
-        self.theta = theta
-        self.shape = (out_dim, out_dim)
+        p = 1 if in_dim is None else in_dim
+        one, zero = OperatorPoly.constant(p, 1), OperatorPoly.zero(p)
+        super().__init__(OperatorMatrix([[one if i == j else zero for j in range(out_dim)]
+                                         for i in range(out_dim)]), theta)
         self.in_dim = in_dim
 
-    def _cells(self):
-        return [((i, i), (((), float(self.theta.signal_variance)),))
-                for i in range(self.shape[0])]
-
-    eval_pairwise = MatrixKernel.eval_pairwise
-
-    def as_expr(self, in_dim):
-        """The same kernel as the constant identity operator (for operator use)."""
-        one, zero = OperatorPoly.constant(in_dim, 1), OperatorPoly.zero(in_dim)
-        k = self.shape[0]
-        return MatrixKernelExpr(
-            OperatorMatrix([[one if i == j else zero for j in range(k)] for i in range(k)]),
-            self.theta)
+    # bound on each family's own class, so that a profiler wrapping it
+    # (perfbench/spans.py) times the families apart
+    eval_pairwise = MatrixKernelExpr.eval_pairwise
 
 
 class CurlFreeKernel(MatrixKernelExpr):
@@ -278,11 +260,11 @@ class CurlFreeKernel(MatrixKernelExpr):
         grad = OperatorMatrix([[OperatorPoly.monomial(3, e)]
                                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
         ell2 = theta.length_scale ** 2
-        product = symbolic_product(grad, _adjoint(grad))
         super().__init__(OperatorMatrix([[ell2 * poly for poly in row]
-                                         for row in product.entries]), theta)
+                                         for row in covariance_operator(grad).entries]),
+                         theta)
 
-    eval_pairwise = MatrixKernel.eval_pairwise
+    eval_pairwise = MatrixKernelExpr.eval_pairwise
 
 
 class SumKernel(MatrixKernel):
@@ -304,13 +286,21 @@ class SumKernel(MatrixKernel):
         return out
 
 
+def covariance_operator(G):
+    """G adj(G): applied to k, the covariance of ``f = G[g]``; free of theta.
+
+    Entry (i, j) sums, over potential components c, G_ic acting on the
+    first argument times G_jc acting on the second.
+    """
+    return symbolic_product(G, _adjoint(G))
+
+
 def transform_kernel(G, theta, per_column_thetas=None):
     """Covariance of ``f = G[g]`` for independent scalar SE priors on g.
 
     ``G`` is an n x P operator matrix over the input dimension.  The
-    result is the operator matrix G adj(G) in d/dr applied to one SE
-    kernel: entry (i, j) sums, over potential components c, G_ic acting
-    on the first argument times G_jc acting on the second.
+    result is :func:`covariance_operator` G adj(G) in d/dr applied to one
+    SE kernel.
 
     With ``per_column_thetas`` each potential component gets its own
     hyperparameters and the result is a :class:`SumKernel`; by default a
@@ -324,7 +314,7 @@ def transform_kernel(G, theta, per_column_thetas=None):
         parts = [transform_kernel(OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)]), th)
                  for c, th in enumerate(per_column_thetas)]
         return parts[0] if len(parts) == 1 else SumKernel(parts)
-    return MatrixKernelExpr(symbolic_product(G, _adjoint(G)), theta)
+    return MatrixKernelExpr(covariance_operator(G), theta)
 
 
 def apply_operator_to_expr(F, expr, side):
@@ -356,13 +346,14 @@ def _adjoint(F):
 # kernel specs (JSON wire format)
 
 
-def kernel_from_spec(spec, default_out_dim=None):
-    """Build a kernel object from its JSON spec dictionary.
+def kernel_family_from_spec(spec, default_out_dim=None):
+    """(family, theta) from a kernel's JSON spec dictionary.
 
     ``{"type": "diagonal"|"curl_free_3d"|"transformed", "hyperparams": {...}}``
     with ``"out_dim"``/``"in_dim"`` for diagonal kernels and
     ``"g_operator"`` (an operator spec, or "auto-from-F" together with
-    ``"f_operator"``) for transformed kernels.
+    ``"f_operator"``) for transformed kernels.  ``family(theta)`` is the
+    kernel; G and G adj(G) are built once, here, not per fit evaluation.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"kernel spec must be an object, not {type(spec).__name__}")
@@ -370,9 +361,10 @@ def kernel_from_spec(spec, default_out_dim=None):
     theta = SeHyperparams.from_dict(spec.get("hyperparams", {}))
     if kind == "diagonal":
         out_dim = _spec_int(spec, "out_dim", default_out_dim or 1)
-        return DiagonalKernel(theta, out_dim, in_dim=_spec_int(spec, "in_dim", None))
+        in_dim = _spec_int(spec, "in_dim", None)
+        return (lambda th: DiagonalKernel(th, out_dim, in_dim=in_dim)), theta
     if kind == "curl_free_3d":
-        return CurlFreeKernel(theta)
+        return CurlFreeKernel, theta
     if kind == "transformed":
         g_spec = spec.get("g_operator", "auto-from-F")
         if g_spec == "auto-from-F":
@@ -382,8 +374,15 @@ def kernel_from_spec(spec, default_out_dim=None):
             G, _ = construct_g(F, max_degree=_spec_int(spec, "max_degree", 3))
         else:
             G = OperatorMatrix.from_json_dict(g_spec)
-        return transform_kernel(G, theta)
+        P = covariance_operator(G)
+        return (lambda th: MatrixKernelExpr(P, th)), theta
     raise ValueError(f"unknown kernel type {kind!r}")
+
+
+def kernel_from_spec(spec, default_out_dim=None):
+    """The kernel a JSON spec describes, at the spec's hyperparameters."""
+    family, theta = kernel_family_from_spec(spec, default_out_dim)
+    return family(theta)
 
 
 def _spec_int(spec, key, default):

@@ -622,7 +622,7 @@ def _degree_schedule(q_f, max_degree):
     return out
 
 
-def construct_g(F, max_degree=3, tol=1e-10):
+def construct_g(F, max_degree=3):
     """Construct an operator matrix G with ``F G = 0``.
 
     Tries ansatz degree sets in a fixed escalation order: the homogeneous
@@ -648,7 +648,7 @@ def construct_g(F, max_degree=3, tol=1e-10):
     for degrees in _degree_schedule(q_f, max_degree):
         ansatz = AnsatzBasis(F.vars, degrees)
         system = build_ansatz_system(F, ansatz)
-        vectors = nullspace(system, mode="exact" if exact else "floating", tol=tol)
+        vectors = nullspace(system, mode="exact" if exact else "floating")
         if not vectors:
             continue
         gammas = [_normalize_gamma(v, n, ansatz.size) for v in vectors]

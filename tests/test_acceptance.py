@@ -220,7 +220,7 @@ def test_criterion_07_baseline_equivalence_oracle():
     rng = np.random.default_rng(7)
     theta = SeHyperparams(1.0, 1.0)
     F = make_divergence_operator(2)
-    expr = DiagonalKernel(theta, 2).as_expr(2)
+    expr = DiagonalKernel(theta, 2, in_dim=2)
     worst = 0.0
     for n, nc in [(5, 4), (8, 7), (3, 12), (11, 4)]:
         X = rng.uniform(0, 3, size=(n, 2))

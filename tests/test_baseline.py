@@ -7,10 +7,10 @@ from fieldgp.baseline import augment, predict_augmented
 from fieldgp.experiments import simulated_field
 from fieldgp.gp import (Dataset, cross_gram, fit_gp, log_marginal_likelihood,
                         predict)
-from fieldgp.kernels import (DiagonalKernel, SeHyperparams,
+from fieldgp.kernels import (DiagonalKernel, SeHyperparams, SumKernel,
                              apply_operator_to_expr, transform_kernel)
-from fieldgp.operators import (OperatorMatrix, OperatorPoly, construct_g,
-                               make_divergence_operator)
+from fieldgp.operators import (DimensionMismatch, OperatorMatrix, OperatorPoly,
+                               construct_g, make_divergence_operator)
 
 from conftest import fd_divergence
 
@@ -37,12 +37,11 @@ def dense_conditioning_oracle(data, F, pts, expr, Xstar):
 
 
 def test_no_constraints_matches_plain_gp(rng):
-    kernel = DiagonalKernel(THETA, 2)
+    kernel = DiagonalKernel(THETA, 2, in_dim=2)
     X = rng.uniform(0, 3, size=(8, 2))
     Y = rng.standard_normal((8, 2))
     data = Dataset(X, Y, noise_std=0.05)
-    problem = augment(data, make_divergence_operator(2), np.zeros((0, 2)),
-                      kernel.as_expr(2))
+    problem = augment(data, make_divergence_operator(2), np.zeros((0, 2)), kernel)
     model = fit_gp(data, kernel)
     Xs = rng.uniform(0, 3, size=(7, 2))
     a, b = predict_augmented(problem, Xs), predict(model, Xs)
@@ -53,7 +52,7 @@ def test_no_constraints_matches_plain_gp(rng):
 def test_matches_dense_conditioning_oracle(rng):
     # explicit joint-Gaussian conditioning on small instances, N + Nc <= 15
     F = make_divergence_operator(2)
-    expr = DiagonalKernel(THETA, 2).as_expr(2)
+    expr = DiagonalKernel(THETA, 2, in_dim=2)
     for n, nc in [(5, 4), (10, 5), (3, 12), (12, 3)]:
         X = rng.uniform(0, 3, size=(n, 2))
         Y = rng.standard_normal((n, 2))
@@ -70,7 +69,7 @@ def test_matches_dense_conditioning_oracle(rng):
 def test_lml_counts_pseudo_observations(rng):
     # evidence of the data and the zero pseudo-observations under the joint Gram
     F = make_divergence_operator(2)
-    expr = DiagonalKernel(THETA, 2).as_expr(2)
+    expr = DiagonalKernel(THETA, 2, in_dim=2)
     X = rng.uniform(0, 3, size=(6, 2))
     data = Dataset(X, rng.standard_normal((6, 2)), noise_std=0.1)
     pts = rng.uniform(0, 3, size=(4, 2))
@@ -96,7 +95,7 @@ def test_constraint_enforced_pointwise(rng):
     data = Dataset(X, Y, noise_std=1e-4)
     theta = SeHyperparams(np.var(Y), 1.0)
     pts = rng.uniform(0.5, 3.5, size=(16, 2))
-    problem = augment(data, F, pts, DiagonalKernel(theta, 2).as_expr(2))
+    problem = augment(data, F, pts, DiagonalKernel(theta, 2, in_dim=2))
     mean_at = lambda p: predict_augmented(problem, p[None]).means[0]
     scale = np.max(np.abs(predict_augmented(problem, pts).means))
     for p in pts:
@@ -114,7 +113,7 @@ def test_enforcement_weaker_between_points_than_transformed(rng):
 
     xs = np.linspace(0.5, 3.5, 5)
     grid = np.array([[a, b] for a in xs for b in xs])
-    problem = augment(data, F, grid, DiagonalKernel(theta, 2).as_expr(2))
+    problem = augment(data, F, grid, DiagonalKernel(theta, 2, in_dim=2))
     G, _ = construct_g(F)
     model = fit_gp(data, transform_kernel(G, SeHyperparams(1.0, 0.8)))
 
@@ -133,7 +132,7 @@ def test_identity_row_forces_component_to_zero(rng):
     X = rng.uniform(0, 2, size=(6, 2))
     Y = rng.standard_normal((6, 2)) + 2.0
     data = Dataset(X, Y, noise_std=0.2)
-    problem = augment(data, F, X[:1], DiagonalKernel(THETA, 2).as_expr(2))
+    problem = augment(data, F, X[:1], DiagonalKernel(THETA, 2, in_dim=2))
     pred = predict_augmented(problem, X[:1])
     assert abs(pred.means[0, 0]) < 0.05 * abs(Y[0, 0])
 
@@ -141,7 +140,7 @@ def test_identity_row_forces_component_to_zero(rng):
 def test_problem_size_grows_linearly():
     F = make_divergence_operator(2)
     data = Dataset(np.zeros((4, 2)), np.zeros((4, 2)), noise_std=0.1)
-    expr = DiagonalKernel(THETA, 2).as_expr(2)
+    expr = DiagonalKernel(THETA, 2, in_dim=2)
     dims = [augment(data, F, np.random.default_rng(0).uniform(0, 1, (nc, 2)),
                     expr).joint_dim for nc in (0, 3, 6)]
     assert dims == [8, 8 + 3, 8 + 6]  # N*K + Nc*rows(F)
@@ -149,12 +148,15 @@ def test_problem_size_grows_linearly():
 
 def test_augment_input_validation(rng):
     data = Dataset(rng.uniform(0, 1, (4, 2)), rng.standard_normal((4, 2)), 0.1)
+    div = make_divergence_operator(2)
+    summed = SumKernel([DiagonalKernel(THETA, 2, in_dim=2)] * 2)
     with pytest.raises(TypeError):
-        augment(data, make_divergence_operator(2), np.zeros((2, 2)),
-                DiagonalKernel(THETA, 2))  # not an expression kernel
+        augment(data, div, np.zeros((2, 2)), summed)  # not an expression kernel
+    with pytest.raises(DimensionMismatch):
+        augment(data, div, np.zeros((2, 2)), DiagonalKernel(THETA, 2))  # no in_dim
     with pytest.raises(ValueError):
         augment(data, make_divergence_operator(3), np.zeros((2, 2)),
-                DiagonalKernel(THETA, 2).as_expr(2))
+                DiagonalKernel(THETA, 2, in_dim=2))
 
 
 def test_jitter_recorded_for_noiseless_block(rng):
@@ -163,6 +165,6 @@ def test_jitter_recorded_for_noiseless_block(rng):
     X = rng.uniform(0, 2, size=(10, 2))
     data = Dataset(X, rng.standard_normal((10, 2)), noise_std=1e-6)
     pts = rng.uniform(0, 2, size=(60, 2))
-    problem = augment(data, F, pts, DiagonalKernel(THETA, 2).as_expr(2))
+    problem = augment(data, F, pts, DiagonalKernel(THETA, 2, in_dim=2))
     assert problem.jitter >= 0.0
     assert np.all(np.isfinite(problem.alpha))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fieldgp import kernels
 from fieldgp.cli import main
 from fieldgp.experiments import synthetic_curl_free_field, write_field_csv
 from fieldgp.operators import (OperatorMatrix, make_curl_operator_3d,
@@ -146,6 +147,21 @@ def test_sim_experiment_bad_config(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", "x"), ("seed", 1.5), ("n_train", 2.5), ("n_train", True),
+    ("restarts", "2"), ("noise_std", "a"), ("noise_std", None),
+    ("nc_schedule", [4, 2.5]), ("nc_schedule", "4"), ("learn_noise", "yes"),
+    ("record_timing", 1), ("methods", "diagonal"), ("methods", ["diagonal", 1]),
+    ("domain", [[0, 4], [0, "4"]]),
+])
+def test_sim_experiment_config_wrong_type_exit_1(tmp_path, capsys, key, value):
+    config = write_json(tmp_path / "config.json", {**TINY_CONFIG, key: value})
+    code = main(["sim-experiment", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fieldgp: error: {config}: {key} must be")
+
+
 def test_real_experiment_missing_data(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", {"repetitions": 1})
     code = main(["real-experiment", "--config", config,
@@ -214,6 +230,31 @@ def test_predict_end_to_end(tmp_path):
     assert len(lines) == 3
     values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.all(values[:, 6:] >= 0)  # variances
+
+
+def test_predict_builds_g_once_per_fit(tmp_path, monkeypatch):
+    # an auto-from-F spec constructs G, and G adj(G), once for the whole fit
+    calls = []
+    original = kernels.construct_g
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "construct_g", counted)
+    X, B = synthetic_curl_free_field(20, seed=21)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    spec = write_json(tmp_path / "kernel.json", {
+        "type": "transformed", "g_operator": "auto-from-F",
+        "f_operator": make_curl_operator_3d().to_json_dict(),
+        "hyperparams": {"signal_variance": 1.0, "length_scale": 1.0,
+                        "noise_variance": 1e-6}})
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"),
+                 "--out", str(tmp_path / "pred.csv")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad_file,content", [

@@ -1,5 +1,6 @@
 """Tests for the benchmark protocols, dataset I/O, and report emission."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_field_csv_errors(tmp_path):
 
 def test_config_json_roundtrip():
     config = ExperimentConfig(**TINY_SIM)
-    doc = config.to_json_dict()
+    doc = dataclasses.asdict(config)
     assert ExperimentConfig.from_json_dict(doc) == config
     assert ExperimentConfig.from_json_dict(json.loads(json.dumps(doc))) == config
 

@@ -333,7 +333,7 @@ def test_predict_leaves_model_unchanged_and_repeats(rng, case):
     X = rng.uniform(0, 3, size=(12, 2))
     data = Dataset(X, rng.standard_normal((12, 2)), noise_std=0.1)
     if case == "block":
-        kernel = DiagonalKernel(THETA, 2).as_expr(2)
+        kernel = DiagonalKernel(THETA, 2, in_dim=2)
         model = augment(data, make_divergence_operator(2),
                         rng.uniform(0, 3, size=(5, 2)), kernel)
         assert model.block is not None

@@ -58,7 +58,7 @@ def _families():
     # the cov(f, F[f]) and cov(F[f], F[f]) expressions baseline.augment builds
     for name, F, dim in (("div2d", make_divergence_operator(2), 2),
                          ("curl3d", make_curl_operator_3d(), 3)):
-        prior = DiagonalKernel(THETA, dim).as_expr(dim)
+        prior = DiagonalKernel(THETA, dim, in_dim=dim)
         cross = apply_operator_to_expr(F, prior, side="right")
         families[f"augment_cross_{name}"] = (dim, cross)
         families[f"augment_prior_{name}"] = (dim, apply_operator_to_expr(F, cross, side="left"))

@@ -1,5 +1,7 @@
 """Tests for SE derivatives and operator-transformed matrix kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,17 +257,40 @@ def test_curl_free_closed_form_decay():
     assert np.max(np.abs(CurlFreeKernel(THETA).eval(x, far))) < 1e-200
 
 
+def _identity_expr(out_dim, dim):
+    one, zero = OperatorPoly.constant(dim, 1), OperatorPoly.zero(dim)
+    return MatrixKernelExpr(OperatorMatrix([[one if i == j else zero for j in range(out_dim)]
+                                            for i in range(out_dim)]), THETA)
+
+
 def test_diagonal_kernel_equals_its_expression_bitwise(rng):
-    for dim, out_dim in ((1, 1), (2, 2), (3, 3), (2, 3)):
-        X, X2 = rng.normal(size=(7, dim)), rng.normal(size=(5, dim))
-        X2[0] = X[2]
-        kernel = DiagonalKernel(THETA, out_dim)
-        a = assemble_gram(kernel, X, 1e-3)
-        b = assemble_gram(kernel.as_expr(dim), X, 1e-3)
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-        a = kernel.eval_pairwise(X, X2)
-        b = kernel.as_expr(dim).eval_pairwise(X, X2)
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # the hand-built constant identity over D variables; without in_dim the
+    # kernel's identity is over one variable and still evaluates at every D
+    for dim in (1, 2, 3):
+        for out_dim in (1, 2, 3):
+            X, X2 = rng.normal(size=(7, dim)), rng.normal(size=(5, dim))
+            X2[0] = X[2]
+            ref = _identity_expr(out_dim, dim)
+            for kernel in (DiagonalKernel(THETA, out_dim),
+                           DiagonalKernel(THETA, out_dim, in_dim=dim)):
+                assert isinstance(kernel, MatrixKernelExpr)
+                a = assemble_gram(kernel, X, 1e-3)
+                b = assemble_gram(ref, X, 1e-3)
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+                a = kernel.eval_pairwise(X, X2)
+                b = ref.eval_pairwise(X, X2)
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert DiagonalKernel(THETA, 2, in_dim=2).entries == _identity_expr(2, 2).entries
+
+
+def test_diagonal_kernel_without_in_dim_takes_no_operator():
+    # its identity is over one variable, whatever dimension it evaluates at
+    for F in (make_divergence_operator(2), make_curl_operator_3d()):
+        for side in ("left", "right"):
+            with pytest.raises(DimensionMismatch):
+                apply_operator_to_expr(F, DiagonalKernel(THETA, F.cols), side=side)
+    with pytest.raises(DimensionMismatch):
+        DiagonalKernel(THETA, 2, in_dim=2).eval(np.zeros(3), np.zeros(3))
 
 
 def test_diagonal_kernel_values(rng):
@@ -294,14 +319,14 @@ def test_apply_operator_divergence_free_cancels():
 def test_apply_operator_identity_left():
     eye = OperatorMatrix([[OperatorPoly.constant(2, 1), OperatorPoly.zero(2)],
                           [OperatorPoly.zero(2), OperatorPoly.constant(2, 1)]])
-    expr = DiagonalKernel(THETA, 2).as_expr(2)
+    expr = DiagonalKernel(THETA, 2, in_dim=2)
     applied = apply_operator_to_expr(eye, expr, side="left")
     assert applied.entries == expr.entries
 
 
 def test_apply_operator_divergence_on_diagonal(rng):
     F = make_divergence_operator(2)
-    expr = DiagonalKernel(THETA, 2).as_expr(2)
+    expr = DiagonalKernel(THETA, 2, in_dim=2)
     applied = apply_operator_to_expr(F, expr, side="left")
     assert applied.shape == (1, 2)
     assert applied.entries[0][0] == {(1, 0): 1}
@@ -340,7 +365,7 @@ def test_second_argument_derivative_sign(F, data, sv, ls):
     x2 = np.array(data.draw(point)) * ls
     h = 1e-4 * ls
     # F acting on the second argument of a diagonal kernel: K F'^T
-    prior = DiagonalKernel(theta, F.cols).as_expr(dim)
+    prior = DiagonalKernel(theta, F.cols, in_dim=dim)
     right = apply_operator_to_expr(F, prior, side="right").eval(x, x2)
     fd = fd_apply_operator(F, lambda p: prior.eval(x, p).T, x2, h).T
     scale = sv * max(1.0, ls ** -2)
@@ -405,7 +430,7 @@ def test_per_column_thetas_sum(rng):
 
 
 def test_kernel_from_spec_variants():
-    hyper = THETA.to_dict()
+    hyper = dataclasses.asdict(THETA)
     diag = kernel_from_spec({"type": "diagonal", "out_dim": 2, "hyperparams": hyper})
     assert isinstance(diag, DiagonalKernel) and diag.shape == (2, 2)
     curl = kernel_from_spec({"type": "curl_free_3d", "hyperparams": hyper})
@@ -437,7 +462,7 @@ def _laplacian_row(dim):
 
 
 def _augment_pair(F, dim, theta):
-    prior = DiagonalKernel(theta, F.cols).as_expr(dim)
+    prior = DiagonalKernel(theta, F.cols, in_dim=dim)
     cross = apply_operator_to_expr(F, prior, side="right")
     return cross, apply_operator_to_expr(F, cross, side="left")
 

@@ -26,9 +26,9 @@ from fieldgp.operators import construct_g, make_divergence_operator
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  PERFBENCH / "spans.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -53,7 +53,8 @@ def _fieldgp_names():
     return sorted(used)
 
 
-@pytest.mark.parametrize("target", _load_spans().TARGETS, ids=lambda t: t[0] + ":" + t[2])
+@pytest.mark.parametrize("target", _load_perfbench("spans").TARGETS,
+                         ids=lambda t: t[0] + ":" + t[2])
 def test_span_target_resolves(target):
     _, module_name, attr, _, _ = target
     module = importlib.import_module(module_name)
@@ -113,7 +114,7 @@ def test_traced_pipelines_fill_the_layer_counters(tmp_path):
                                 "methods": ["diagonal", "curl_free", "artificial"]}))
     X, B = synthetic_curl_free_field(20, seed=2)
     write_field_csv(tmp_path / "field.csv", X, B)
-    tracer = _load_spans().Tracer()
+    tracer = _load_perfbench("spans").Tracer()
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
         codes = [main(["sim-experiment", "--config", str(sim),
                        "--out", str(tmp_path / "sim_out")]),
@@ -128,3 +129,16 @@ def test_traced_pipelines_fill_the_layer_counters(tmp_path):
     assert values["gp.cholesky_jitter.flops"] > 0
     assert values["baseline.augment.joint_dim_max"] > 0
     assert values["baseline.predict_augmented.points"] > 0
+
+
+@pytest.mark.parametrize("workload", ["sim_div2d", "real_curl3d"])
+def test_constraint_residual_probe_runs(tmp_path, workload):
+    # verify.py calls fieldgp directly, not through the CLI: DiagonalKernel
+    # without in_dim, fit_hyperparameters on a family callable, and
+    # construct_g's (G, solution) pair
+    workloads = _load_perfbench("workloads")
+    verify = _load_perfbench("verify")
+    inputs = workloads.make_inputs(workloads.WORKLOADS[workload], 1, str(tmp_path))
+    residual, problems = verify.constraint_residual(inputs)
+    assert problems == []
+    assert residual["constrained"] <= verify.RESIDUAL_MAX
