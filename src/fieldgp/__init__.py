@@ -20,10 +20,10 @@ from .gp import (Dataset, FitResult, GpModel, NotPositiveDefinite, ObservationBl
                  OptConfig, PredictionResult, assemble_gram, cholesky_jitter,
                  cross_gram, fit_gp, fit_hyperparameters, log_marginal_likelihood,
                  predict)
-from .kernels import (MAX_DERIVATIVE_ORDER, CurlFreeKernel, DerivativeOrderError,
-                      DiagonalKernel, MatrixKernelExpr, SeHyperparams, SumKernel,
-                      apply_operator_to_expr, covariance_operator, kernel_family_from_spec,
-                      kernel_from_spec, se_derivative, se_eval, transform_kernel)
+from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
+                      SumKernel, apply_operator_to_expr, covariance_operator,
+                      kernel_family_from_spec, kernel_from_spec, se_derivative, se_eval,
+                      transform_kernel)
 from .operators import (MIXED, AnsatzBasis, AnsatzSystem, DimensionMismatch,
                         GammaSolution, NoAnnihilatorFound, OperatorMatrix,
                         OperatorPoly, build_ansatz_system, construct_g,

@@ -92,6 +92,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

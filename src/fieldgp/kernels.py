@@ -24,14 +24,6 @@ import numpy as np
 from .operators import (DimensionMismatch, OperatorMatrix, OperatorPoly, construct_g,
                         symbolic_product)
 
-#: Largest supported total derivative order (both arguments combined).
-MAX_DERIVATIVE_ORDER = 4
-
-
-class DerivativeOrderError(ValueError):
-    """Requested derivative order exceeds MAX_DERIVATIVE_ORDER."""
-
-
 @dataclass(frozen=True)
 class SeHyperparams:
     """Hyperparameters of the squared-exponential base kernel."""
@@ -64,8 +56,8 @@ def se_derivative(idx, x, x2, theta):
     """Exact mixed partial derivative of the SE kernel at a pair of points.
 
     ``idx = (alpha, beta)``: alpha differentiates with respect to x, beta
-    with respect to x2, both up to combined order MAX_DERIVATIVE_ORDER.
-    It is the monomial (-1)^|beta| (d/dr)^(alpha + beta).
+    with respect to x2, to any combined order.  It is the monomial
+    (-1)^|beta| (d/dr)^(alpha + beta), evaluated by the Hermite recurrence.
     """
     alpha, beta = tuple(idx[0]), tuple(idx[1])
     dim = np.shape(x)[-1]
@@ -182,12 +174,6 @@ class MatrixKernelExpr(MatrixKernel):
     """
 
     def __init__(self, operator, theta):
-        order = operator.max_degree()
-        if order > MAX_DERIVATIVE_ORDER:
-            raise DerivativeOrderError(
-                f"total derivative order {order} exceeds the supported "
-                f"maximum {MAX_DERIVATIVE_ORDER}"
-            )
         self.operator = operator
         self.in_dim = operator.vars
         self.shape = (operator.rows, operator.cols)

@@ -4,27 +4,29 @@ A scalar operator is a polynomial in the partial-derivative symbols
 d/dx1, ..., d/dxp, which commute (mixed partials of smooth functions are
 order-independent).  Monomials are represented as tuples of non-negative
 integer exponents of length p; an :class:`OperatorPoly` maps monomials to
-real coefficients.  An :class:`OperatorMatrix` is a rectangular grid of
-such polynomials and models a linear operator acting on vector-valued
-functions componentwise.
+exact rational coefficients (``int`` or ``Fraction``; a float is read as
+the decimal its repr spells, see :func:`exact`).  An :class:`OperatorMatrix`
+is a rectangular grid of such polynomials and models a linear operator
+acting on vector-valued functions componentwise.
 
 Given a constraint matrix F, :func:`construct_g` finds an operator matrix
 G with ``F G = 0`` so that any field of the form ``f = G[g]`` satisfies
 the constraint identically.  The search parameterizes candidate columns
 of G over a basis of derivative monomials, collects the coefficients of
 the expanded product into a homogeneous linear system, and reads G off a
-basis of its nullspace.
+basis of its nullspace, all in exact rational arithmetic, so ``F G = 0``
+holds exactly.
 """
 
 import json
+import math
+import numbers
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 MIXED = "mixed"
-
-#: Coefficient types that support exact (rational) elimination.
-_RATIONAL_TYPES = (int, Fraction, np.integer)
 
 
 class DimensionMismatch(ValueError):
@@ -59,11 +61,12 @@ def monomials_of_degree(p, q):
     """All exponent tuples of length ``p`` summing to ``q``, in graded-lex order."""
     if p < 1:
         raise ValueError("need at least one variable")
-    if p == 1:
-        return [(q,)]
     out = []
-    for e in range(q, -1, -1):
-        out.extend((e,) + rest for rest in monomials_of_degree(p - 1, q - e))
+    for combo in combinations_with_replacement(range(p), q):
+        exponents = [0] * p
+        for d in combo:
+            exponents[d] += 1
+        out.append(tuple(exponents))
     return out
 
 
@@ -81,10 +84,22 @@ def render_monomial(m):
     return f"{num}/{den}"
 
 
-def _render_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
-    return str(c)
+def exact(c):
+    """``c`` as an ``int`` or a ``Fraction``: the one coefficient arithmetic.
+
+    A float becomes ``Fraction(repr(c))``, the decimal its shortest repr
+    spells, so 0.3 is 3/10 and ``float`` of the result returns the original
+    bits.  Booleans, non-finite and non-real values are rejected.
+    """
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise TypeError(f"coefficient must be a real number, not {c!r}")
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, numbers.Integral):
+        return int(c)
+    if not math.isfinite(c):
+        raise ValueError("coefficients must be finite")
+    return Fraction(repr(float(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +109,10 @@ def _render_coeff(c):
 class OperatorPoly:
     """Polynomial in ``p`` commuting derivative symbols.
 
-    ``terms`` maps exponent tuples to nonzero real coefficients.  The
-    zero polynomial has no terms.  Instances are treated as immutable;
-    arithmetic returns new objects.
+    ``terms`` maps exponent tuples to nonzero int or Fraction coefficients
+    (other numbers go through :func:`exact`).  The zero polynomial has no
+    terms.  Instances are treated as immutable; arithmetic returns new
+    objects.
     """
 
     __slots__ = ("p", "terms")
@@ -109,8 +125,7 @@ class OperatorPoly:
             mono = tuple(int(e) for e in mono)
             if len(mono) != p or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono} for p={p}")
-            if isinstance(coeff, float) and not np.isfinite(coeff):
-                raise ValueError("coefficients must be finite")
+            coeff = exact(coeff)
             if coeff == 0:
                 continue
             clean[mono] = clean.get(mono, 0) + coeff
@@ -133,9 +148,6 @@ class OperatorPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_rational(self):
-        return all(isinstance(c, _RATIONAL_TYPES) for c in self.terms.values())
 
     def degree(self):
         """Common total degree of all terms, ``MIXED`` if they differ, None if zero."""
@@ -176,6 +188,7 @@ class OperatorPoly:
                     mono = tuple(a + b for a, b in zip(m1, m2))
                     prod[mono] = prod.get(mono, 0) + c1 * c2
             return OperatorPoly(self.p, prod)
+        other = exact(other)
         return OperatorPoly(self.p, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -197,13 +210,13 @@ class OperatorPoly:
         for mono, coeff in self.sorted_terms():
             body = render_monomial(mono)
             if body == "1":
-                piece = _render_coeff(coeff)
+                piece = str(coeff)
             elif coeff == 1:
                 piece = body
             elif coeff == -1:
                 piece = f"-{body}"
             else:
-                piece = f"{_render_coeff(coeff)}*{body}"
+                piece = f"{coeff}*{body}"
             parts.append(piece)
         out = parts[0]
         for piece in parts[1:]:
@@ -254,27 +267,14 @@ class OperatorMatrix:
     def is_zero(self):
         return all(poly.is_zero() for row in self.entries for poly in row)
 
-    def is_rational(self):
-        return all(poly.is_rational() for row in self.entries for poly in row)
-
     def max_degree(self):
         return max(poly.max_degree() for row in self.entries for poly in row)
-
-    def max_abs_coeff(self):
-        return max(
-            (abs(float(c)) for row in self.entries for poly in row
-             for c in poly.terms.values()),
-            default=0.0,
-        )
 
     def __eq__(self, other):
         return (
             isinstance(other, OperatorMatrix)
             and self.entries == other.entries
         )
-
-    def __matmul__(self, other):
-        return symbolic_product(self, other)
 
     def __repr__(self):
         return f"OperatorMatrix({self.rows}x{self.cols}, vars={self.vars})"
@@ -308,23 +308,21 @@ class OperatorMatrix:
     @classmethod
     def from_json_dict(cls, doc):
         try:
-            p = int(doc["vars"])
-            rows = int(doc["rows"])
-            cols = int(doc["cols"])
+            p, rows, cols = (_json_int(doc[key], key) for key in ("vars", "rows", "cols"))
             raw_entries = doc.get("entries", [])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed operator spec: {exc}") from exc
         if p < 1 or rows < 1 or cols < 1:
             raise ValueError("vars, rows and cols must all be >= 1")
         entry_map = {}
         try:
             for ent in raw_entries:
-                i, j = int(ent["row"]), int(ent["col"])
+                i, j = _json_int(ent["row"], "row"), _json_int(ent["col"], "col")
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry index ({i},{j}) out of range")
                 terms = {}
                 for term in ent["terms"]:
-                    exps = tuple(int(e) for e in term["exponents"])
+                    exps = tuple(_json_int(e, "exponents") for e in term["exponents"])
                     if len(exps) != p or any(e < 0 for e in exps):
                         raise ValueError(f"bad exponents {exps} (vars={p})")
                     coeff = _coeff_from_json(term["coeff"])
@@ -350,26 +348,19 @@ class OperatorMatrix:
             return cls.from_json_dict(json.load(fh))
 
 
+def _json_int(value, key):
+    """``value`` if it is a JSON integer (not a boolean), else a ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"operator spec {key!r}: {value!r} is not an integer")
+    return value
+
+
 def _coeff_to_json(c):
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    if isinstance(c, int):
-        return c
-    return float(c)
+    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _coeff_from_json(raw):
-    if isinstance(raw, bool):
-        raise ValueError("boolean is not a valid coefficient")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, float):
-        if not np.isfinite(raw):
-            raise ValueError("coefficients must be finite")
-        return int(raw) if raw == int(raw) else raw
-    raise ValueError(f"unsupported coefficient {raw!r}")
+    return Fraction(raw) if isinstance(raw, str) else exact(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +387,19 @@ def make_curl_operator_3d():
 
 
 def symbolic_product(F, G):
-    """Matrix product of operator matrices with commuting-symbol multiplication."""
+    """Matrix product of operator matrices with commuting-symbol multiplication.
+
+    Coefficients are exact, so the order of accumulation cannot change a value.
+    """
     if F.vars != G.vars:
         raise DimensionMismatch("variable counts differ")
     if F.cols != G.rows:
         raise DimensionMismatch(
             f"cannot multiply {F.rows}x{F.cols} by {G.rows}x{G.cols}"
         )
-    grid = []
-    for i in range(F.rows):
-        row = []
-        for k in range(G.cols):
-            acc = {}
-            for j in range(F.cols):
-                for m1, c1 in F.entry(i, j).terms.items():
-                    for m2, c2 in G.entry(j, k).terms.items():
-                        mono = tuple(a + b for a, b in zip(m1, m2))
-                        acc[mono] = acc.get(mono, 0) + c1 * c2
-            row.append(OperatorPoly(F.vars, acc))
-        grid.append(row)
-    return OperatorMatrix(grid)
+    zero = OperatorPoly.zero(F.vars)
+    return OperatorMatrix([[sum((F.entry(i, j) * G.entry(j, k) for j in range(F.cols)), zero)
+                            for k in range(G.cols)] for i in range(F.rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -514,50 +498,31 @@ def build_ansatz_system(F, ansatz):
     return AnsatzSystem(matrix, row_index, col_index, ansatz, n)
 
 
-def nullspace(A, mode="exact", tol=1e-10, ncols=None):
-    """Basis of the right nullspace of ``A``.
+def nullspace(A, ncols=None):
+    """Basis of the right nullspace of ``A`` by rational Gauss-Jordan elimination.
 
     Parameters
     ----------
     A : AnsatzSystem, ndarray, or sequence of rows
-    mode : {"exact", "floating"}
-        Exact mode runs rational Gauss-Jordan elimination and requires
-        integer or Fraction entries; it is fully deterministic.  Floating
-        mode decides rank from singular values above ``tol`` times the
-        largest one.
+        Entries go through :func:`exact`, so floats are read as the decimal
+        they spell and the result is deterministic.
     ncols : int, optional
         Required when ``A`` has no rows and is not an AnsatzSystem.
 
     Returns
     -------
-    list of vectors; lists of Fractions in exact mode, float arrays in
-    floating mode.  Empty list means the nullspace is trivial.
+    list of vectors, each a list of Fractions.  Empty list means the
+    nullspace is trivial.
     """
     if isinstance(A, AnsatzSystem):
-        rows = A.matrix
-        ncols = A.ncols
-    elif isinstance(A, np.ndarray):
-        rows = [list(r) for r in A]
-        ncols = A.shape[1]
+        rows, ncols = A.matrix, A.ncols
     else:
         rows = [list(r) for r in A]
         if rows:
             ncols = len(rows[0])
         elif ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
-    if mode == "exact":
-        return _nullspace_exact(rows, ncols)
-    if mode == "floating":
-        return _nullspace_floating(rows, ncols, tol)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _nullspace_exact(rows, ncols):
-    for row in rows:
-        for x in row:
-            if not isinstance(x, _RATIONAL_TYPES) or isinstance(x, bool):
-                raise TypeError(f"exact mode requires rational entries, got {x!r}")
-    work = [[Fraction(x) for x in row] for row in rows]
+    work = [[Fraction(exact(x)) for x in row] for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -575,24 +540,14 @@ def _nullspace_exact(rows, ncols):
         r += 1
         if r == len(work):
             break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for ri, pc in enumerate(pivots):
             v[pc] = -work[ri][f]
         basis.append(v)
     return basis
-
-
-def _nullspace_floating(rows, ncols, tol):
-    if not rows:
-        return [np.eye(ncols)[:, c] for c in range(ncols)]
-    arr = np.array([[float(x) for x in row] for row in rows])
-    _, s, vt = np.linalg.svd(arr)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return [vt[k] for k in range(rank, ncols)]
 
 
 class GammaSolution:
@@ -643,12 +598,10 @@ def construct_g(F, max_degree=3):
     q_f = F.max_degree()
     if max_degree < q_f:
         raise ValueError(f"max_degree={max_degree} is below the operator degree {q_f}")
-    exact = F.is_rational()
     n = F.cols
     for degrees in _degree_schedule(q_f, max_degree):
         ansatz = AnsatzBasis(F.vars, degrees)
-        system = build_ansatz_system(F, ansatz)
-        vectors = nullspace(system, mode="exact" if exact else "floating")
+        vectors = nullspace(build_ansatz_system(F, ansatz))
         if not vectors:
             continue
         gammas = [_normalize_gamma(v, n, ansatz.size) for v in vectors]
@@ -665,7 +618,8 @@ def construct_g(F, max_degree=3):
             columns.append(col)
         G = OperatorMatrix([[columns[c][j] for c in range(len(columns))]
                             for j in range(n)])
-        _check_annihilation(F, G, exact)
+        if not symbolic_product(F, G).is_zero():
+            raise RuntimeError("constructed G does not annihilate F exactly")
         return G, GammaSolution(gammas, ansatz)
     raise NoAnnihilatorFound(max_degree)
 
@@ -676,14 +630,3 @@ def _normalize_gamma(vec, n, m_g):
         raise ValueError("nullspace returned a zero vector")
     scaled = [x / lead for x in vec]
     return [scaled[j * m_g:(j + 1) * m_g] for j in range(n)]
-
-
-def _check_annihilation(F, G, exact):
-    product = symbolic_product(F, G)
-    if exact:
-        if not product.is_zero():
-            raise RuntimeError("constructed G does not annihilate F exactly")
-    else:
-        scale = max(F.max_abs_coeff() * G.max_abs_coeff(), 1.0)
-        if product.max_abs_coeff() > 1e-8 * scale:
-            raise RuntimeError("constructed G does not annihilate F numerically")

@@ -109,6 +109,25 @@ def _mp_fd(alpha, beta, x, x2, sv, ls, h):
     return sv * mp.exp(-r2 / (2 * ls ** 2))
 
 
+def mp_diff_se_derivative(alpha, beta, x, x2, sv, ls, dps=40):
+    """Mixed partial of the SE kernel by ``mpmath.diff`` at ``dps`` digits.
+
+    mpmath picks its step from the working precision, so this reaches
+    orders where the fixed-step nested differences of
+    :func:`mp_se_derivative` lose their accuracy.
+    """
+    dim = len(x)
+    with mp.workdps(dps):
+        ls = mp.mpf(ls)
+
+        def kernel(*args):
+            r2 = mp.fsum((args[d] - args[dim + d]) ** 2 for d in range(dim))
+            return sv * mp.exp(-r2 / (2 * ls ** 2))
+
+        point = [mp.mpf(float(v)) for v in (*x, *x2)]
+        return float(mp.diff(kernel, point, tuple(alpha) + tuple(beta)))
+
+
 def multi_indices_up_to(dim, max_order):
     """All (alpha, beta) pairs of length-``dim`` tuples with total order <= max_order."""
     def exponent_tuples(n_slots, total):

@@ -1,11 +1,17 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fieldgp import kernels
 from fieldgp.cli import main
@@ -160,6 +166,15 @@ def test_sim_experiment_config_wrong_type_exit_1(tmp_path, capsys, key, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"fieldgp: error: {config}: {key} must be")
+
+
+@pytest.mark.parametrize("doc", ["abc", [1]], ids=["string", "list"])
+def test_sim_experiment_config_not_an_object_exit_1(tmp_path, capsys, doc):
+    config = write_json(tmp_path / "config.json", doc)
+    code = main(["sim-experiment", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"fieldgp: error: {config}: "
+                                       "config must be a JSON object\n")
 
 
 def test_real_experiment_missing_data(tmp_path, capsys):
@@ -336,6 +351,98 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
     for key in ("out_dim", "max_degree"):
         if isinstance(doc, dict) and key in doc:
             assert f"kernel spec {key!r} must be an integer" in proc.stderr
+
+
+def _div_doc(**changes):
+    """The 2-D divergence spec with top-level keys replaced."""
+    return {**make_divergence_operator(2).to_json_dict(), **changes}
+
+
+def _div_entries(**changes):
+    """The 2-D divergence spec with keys of its first entry or term replaced."""
+    doc = make_divergence_operator(2).to_json_dict()
+    entry = doc["entries"][0]
+    for key, value in changes.items():
+        (entry["terms"][0] if key == "exponents" else entry)[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("vars", _div_doc(vars=2.9)),
+    ("rows", _div_doc(rows=True)),
+    ("cols", _div_doc(cols=2.5)),
+    ("row", _div_entries(row=0.7)),
+    ("col", _div_entries(col=True)),
+    ("exponents", _div_entries(exponents=[1.5, 0])),
+    ("exponents", _div_entries(exponents=[1, "0"])),
+], ids=["vars", "rows", "cols", "row", "col", "exponent_fraction", "exponent_string"])
+def test_operator_spec_non_integer_field_exit_1(tmp_path, capsys, field, doc):
+    # int() would truncate each of these into the divergence operator
+    spec = write_json(tmp_path / "spec.json", doc)
+    code = main(["construct-g", "--f-spec", spec, "--out", str(tmp_path / "g.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fieldgp: error: operator spec {field!r}: ")
+    assert "is not an integer" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_construct_g_many_variables_exit_0(tmp_path, capsys):
+    # no entries: the zero operator over 3000 variables, G the identity
+    spec = write_json(tmp_path / "spec.json", {"vars": 3000, "rows": 1, "cols": 1})
+    out = tmp_path / "g.json"
+    assert main(["construct-g", "--f-spec", spec, "--out", str(out)]) == 0
+    G = OperatorMatrix.load_json(out)
+    assert (G.vars, G.rows, G.cols) == (3000, 1, 1)
+
+
+_FUZZ_COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-10.0, 10.0),
+    st.builds("{}/{}".format, st.integers(-5, 5), st.integers(0, 5)),
+    st.booleans(),
+    st.text(max_size=4),
+    st.just(float("nan")),
+)
+
+
+@st.composite
+def _operator_specs(draw):
+    p, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    term = st.fixed_dictionaries({
+        "coeff": _FUZZ_COEFFS,
+        "exponents": st.lists(st.integers(0, 3), min_size=p, max_size=p)})
+    entry = st.fixed_dictionaries({
+        "row": st.integers(0, rows - 1),
+        "col": st.integers(0, cols - 1),
+        "terms": st.lists(term, max_size=2)})
+    return {"vars": p, "rows": rows, "cols": cols,
+            "entries": draw(st.lists(entry, max_size=3))}
+
+
+def _exit_code_without_traceback(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    return code
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_operator_specs())
+def test_operator_spec_fuzz_exit_codes(doc):
+    # construct-g, then check-kernel with the constructed G when there is
+    # one and with the spec itself as G otherwise; both in process
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = write_json(Path(tmp) / "spec.json", doc)
+        code = _exit_code_without_traceback(
+            ["construct-g", "--f-spec", spec, "--max-degree", "2",
+             "--out", str(Path(tmp) / "g.json")])
+        _exit_code_without_traceback(
+            ["check-kernel", "--f-spec", spec, "--samples", "1",
+             "--g-spec", "auto" if code == 0 else spec])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from fieldgp.checks import fd_apply_operator
 from fieldgp.gp import assemble_gram
 from fieldgp.kernels import (
     CurlFreeKernel,
-    DerivativeOrderError,
     DiagonalKernel,
     MatrixKernelExpr,
     SeHyperparams,
@@ -31,7 +30,8 @@ from fieldgp.operators import (
     make_divergence_operator,
 )
 
-from conftest import fd_operator_rows, mp_se_derivative, multi_indices_up_to
+from conftest import (fd_operator_rows, mp_diff_se_derivative, mp_se_derivative,
+                      multi_indices_up_to)
 from kernel_reference import curl_free_closed_form, reference_pairwise
 
 THETA = SeHyperparams(signal_variance=1.3, length_scale=0.8)
@@ -115,10 +115,32 @@ def test_se_derivative_fd_oracle(rng):
                 assert abs(ours - oracle) <= 1e-5 * scale
 
 
+def test_se_derivative_high_order_mpmath_oracle():
+    # orders 5-8 in 1-3 D against mpmath.diff at 40 digits, the order spread
+    # over up to three of the 2D slots of (alpha, beta) (mpmath's cost grows
+    # steeply with the slot count); the tolerance is relative to the larger
+    # of the value and the order's scale sv/l^order
+    rng = np.random.default_rng(58)
+    for order in range(5, 9):
+        for dim in (1, 2, 3):
+            for _ in range(2):
+                combined = [0] * (2 * dim)
+                cuts = np.sort(rng.integers(0, order + 1, size=2))
+                for slot, part in zip(rng.integers(0, 2 * dim, size=3),
+                                      np.diff([0, *cuts, order])):
+                    combined[slot] += int(part)
+                alpha, beta = tuple(combined[:dim]), tuple(combined[dim:])
+                sv, ls = float(rng.uniform(0.4, 2.5)), float(rng.uniform(0.4, 2.5))
+                x = rng.uniform(-1.0, 1.0, dim) * ls
+                x2 = x + rng.uniform(-1.5, 1.5, dim) * ls
+                ours = se_derivative((alpha, beta), x, x2, SeHyperparams(sv, ls))
+                oracle = mp_diff_se_derivative(alpha, beta, x, x2, sv, ls)
+                scale = max(abs(oracle), sv / ls ** order)
+                assert abs(ours - oracle) <= 1e-12 * scale, (alpha, beta)
+
+
 def test_se_derivative_order_limit():
     x = np.zeros(2)
-    with pytest.raises(DerivativeOrderError):
-        se_derivative(((3, 0), (2, 0)), x, x, THETA)
     with pytest.raises(DimensionMismatch):
         se_derivative(((1, 0), (0,)), x, x, THETA)
     with pytest.raises(ValueError, match="non-negative"):
@@ -376,19 +398,38 @@ def test_second_argument_derivative_sign(F, data, sv, ls):
     assert np.max(np.abs(transform_kernel(F, theta).eval(x, x2) - fd)) <= 1e-6 * scale
 
 
-def test_apply_operator_order_overflow():
-    G, _ = construct_g(make_divergence_operator(2))
-    expr = transform_kernel(G, THETA)          # order 2 per entry
-    third = OperatorMatrix([[OperatorPoly.monomial(2, (3, 0)),
-                             OperatorPoly.monomial(2, (0, 3))]])
-    with pytest.raises(DerivativeOrderError):
-        apply_operator_to_expr(third, expr, side="left")
+def _second_order_constraint():
+    # F = [d1^2, d2^2]; its annihilator is G = [d2^2, -d1^2]^T
+    return OperatorMatrix([[OperatorPoly.monomial(2, (2, 0)),
+                            OperatorPoly.monomial(2, (0, 2))]])
 
 
-def test_transform_kernel_order_overflow():
-    cubic = OperatorMatrix([[OperatorPoly.monomial(2, (3, 0))]])
-    with pytest.raises(DerivativeOrderError):
-        transform_kernel(cubic, THETA)
+def test_apply_operator_order_two_constraint_cancels():
+    F = _second_order_constraint()
+    G, _ = construct_g(F)
+    expr = transform_kernel(G, THETA)                            # order 4
+    left = apply_operator_to_expr(F, expr, side="left")          # order 6
+    both = apply_operator_to_expr(F, left, side="right")         # order 8
+    assert left.is_zero() and both.is_zero()
+    assert not apply_operator_to_expr(F, DiagonalKernel(THETA, 2, in_dim=2), "left").is_zero()
+
+
+def test_order_six_expression_matches_mpmath(rng):
+    # div_x (G adj G) div_x'^T for the G above is the scalar
+    # (d1 d2^2 - d1^2 d2)_x (d1 d2^2 - d1^2 d2)_x' k: four order-6 partials
+    G, _ = construct_g(_second_order_constraint())
+    div = make_divergence_operator(2)
+    expr = apply_operator_to_expr(div, transform_kernel(G, THETA), side="left")
+    expr = apply_operator_to_expr(div, expr, side="right")
+    assert expr.shape == (1, 1) and expr.operator.max_degree() == 6
+    sv, ls = THETA.signal_variance, THETA.length_scale
+    signs = {(1, 2): 1, (2, 1): -1}
+    for _ in range(3):
+        x, x2 = rng.uniform(-1.0, 1.0, 2) * ls, rng.uniform(-1.0, 1.0, 2) * ls
+        oracle = sum(sa * sb * mp_diff_se_derivative(a, b, x, x2, sv, ls)
+                     for a, sa in signs.items() for b, sb in signs.items())
+        ours = float(expr.eval(x, x2)[0, 0])
+        assert abs(ours - oracle) <= 1e-11 * max(abs(oracle), sv / ls ** 6)
 
 
 # ---------------------------------------------------------------------------

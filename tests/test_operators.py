@@ -1,5 +1,6 @@
 """Tests for the operator-polynomial algebra and annihilator construction."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,25 @@ def test_monomials_of_degree_graded_lex_order():
     assert monomials_of_degree(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
+def _monomials_recursive(p, q):
+    # the former recursive construction, one call per variable
+    if p == 1:
+        return [(q,)]
+    return [(e,) + rest for e in range(q, -1, -1) for rest in _monomials_recursive(p - 1, q - e)]
+
+
+def test_monomials_of_degree_matches_recursive_order():
+    for p in range(1, 5):
+        for q in range(5):
+            assert monomials_of_degree(p, q) == _monomials_recursive(p, q)
+
+
+def test_monomials_of_degree_many_variables():
+    # one variable per recursion level used to overflow the stack here
+    assert monomials_of_degree(3000, 0) == [(0,) * 3000]
+    assert len(monomials_of_degree(3000, 1)) == 3000
+
+
 def test_monomials_of_degree_complete_and_unique():
     monos = monomials_of_degree(3, 3)
     assert len(monos) == len(set(monos)) == 10  # C(3+3-1, 3)
@@ -103,6 +123,18 @@ def test_poly_rejects_non_finite_coefficients():
         OperatorPoly(2, {(1, 0): float("nan")})
     with pytest.raises(ValueError):
         OperatorPoly(2, {(1, 0): float("inf")})
+    with pytest.raises(TypeError):
+        OperatorPoly(2, {(1, 0): True})
+
+
+def test_float_coefficients_are_the_decimals_they_spell():
+    poly = OperatorPoly(2, {(1, 0): 0.3, (0, 1): np.float64(2.0), (0, 0): np.int64(-4)})
+    assert poly.terms == {(1, 0): Fraction(3, 10), (0, 1): 2, (0, 0): -4}
+    assert all(type(c) in (int, Fraction) for c in poly.terms.values())
+    assert (0.1 * dx(2, 0)).terms == {(1, 0): Fraction(1, 10)}
+    # float() of the coefficient returns the original bits
+    for value in (0.1, 1 / 3, 2.0 ** -1074, 1.7976931348623157e308, 0.8 ** 2):
+        assert float((value * dx(2, 1)).terms[(0, 1)]) == value
 
 
 def test_poly_degree_queries():
@@ -310,19 +342,25 @@ def test_nullspace_random_integer_matrices(rng):
 
 
 def test_nullspace_floating_mode(rng):
-    base = rng.standard_normal((5, 8))
-    A = np.vstack([base, rng.standard_normal(5) @ base])
-    vectors = nullspace(A, mode="floating", tol=1e-10)
+    # a float matrix is eliminated exactly: A v = 0 holds in Fraction arithmetic
+    A = rng.standard_normal((5, 8))
+    vectors = nullspace(A)
     assert len(vectors) == 3
-    norm_a = np.linalg.norm(A)
+    exact_rows = [[Fraction(repr(float(a))) for a in row] for row in A]
     for v in vectors:
-        assert np.linalg.norm(A @ v) <= 10 * 1e-10 * norm_a
-    assert np.linalg.matrix_rank(np.array(vectors)) == 3
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in exact_rows)
+    assert bareiss_rank(vectors) == 3
 
 
-def test_nullspace_exact_rejects_floats():
+def test_nullspace_reads_floats_exactly():
+    # rank 1 in decimal (2.1 = 3 * 0.7, 0.3 = 3 * 0.1), though 3 * 0.1 != 0.3 in binary
+    assert nullspace([[0.1, 0.7], [0.3, 2.1]]) == [[Fraction(-7), Fraction(1)]]
+    assert nullspace([[0.5, 1.0]]) == [[Fraction(-2), Fraction(1)]]
     with pytest.raises(TypeError):
-        nullspace([[0.5, 1.0]])
+        nullspace([[True, 1]])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            nullspace([[bad, 1.0]])
 
 
 def test_nullspace_empty_rows_needs_ncols():
@@ -423,8 +461,14 @@ def test_construct_g_floating_coefficients():
     entries = [[OperatorPoly.monomial(2, (1, 0), 1.5),
                 OperatorPoly.monomial(2, (0, 1), 0.5)]]
     G, _ = construct_g(OperatorMatrix(entries))
-    product = symbolic_product(OperatorMatrix(entries), G)
-    assert product.max_abs_coeff() < 1e-10
+    assert symbolic_product(OperatorMatrix(entries), G).is_zero()
+    # F = [0.3 d1, 1.7 d2, -2.1 d3]: a sparse exact G that survives JSON
+    F = OperatorMatrix([[dx(3, 0, 0.3), dx(3, 1, 1.7), dx(3, 2, -2.1)]])
+    G, _ = construct_g(F)
+    assert symbolic_product(F, G).is_zero()
+    coeffs = {c for row in G.entries for poly in row for c in poly.terms.values()}
+    assert {Fraction(-3, 17), Fraction(1, 7), Fraction(17, 21)} <= coeffs
+    assert OperatorMatrix.from_json_dict(json.loads(json.dumps(G.to_json_dict()))) == G
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +502,17 @@ def test_json_rational_coefficients():
     F = OperatorMatrix.from_json_dict(doc)
     assert F.entry(0, 0).terms == {(2,): Fraction(3, 7)}
     assert F.to_json_dict()["entries"][0]["terms"][0]["coeff"] == "3/7"
+
+
+def test_json_float_coefficients_read_exactly():
+    doc = {"vars": 1, "rows": 1, "cols": 1,
+           "entries": [{"row": 0, "col": 0,
+                        "terms": [{"coeff": 0.3, "exponents": [1]},
+                                  {"coeff": 2.0, "exponents": [0]}]}]}
+    F = OperatorMatrix.from_json_dict(doc)
+    assert F.entry(0, 0).terms == {(1,): Fraction(3, 10), (0,): 2}
+    terms = F.to_json_dict()["entries"][0]["terms"]
+    assert [t["coeff"] for t in terms] == [2, "3/10"]
 
 
 def test_json_validation_errors():
