@@ -100,11 +100,7 @@ def _load_json(path):
 
 def _cmd_construct_g(args):
     F = OperatorMatrix.from_json_dict(_load_json(args.f_spec))
-    try:
-        G, _ = construct_g(F, max_degree=args.max_degree)
-    except NoAnnihilatorFound as exc:
-        print(f"fieldgp: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
+    G, _ = construct_g(F, max_degree=args.max_degree)
     G.dump_json(args.out)
     print(f"G ({G.rows}x{G.cols}):")
     print(G.render())
@@ -115,11 +111,7 @@ def _cmd_construct_g(args):
 def _cmd_check_kernel(args):
     F = OperatorMatrix.from_json_dict(_load_json(args.f_spec))
     if args.g_spec == "auto":
-        try:
-            G, _ = construct_g(F)
-        except NoAnnihilatorFound as exc:
-            print(f"fieldgp: {exc}", file=sys.stderr)
-            return EXIT_NO_SOLUTION
+        G, _ = construct_g(F)
     else:
         G = OperatorMatrix.from_json_dict(_load_json(args.g_spec))
     theta = SeHyperparams(signal_variance=args.signal_variance,
@@ -221,11 +213,16 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except NoAnnihilatorFound as exc:
+        # from construct-g, check-kernel, or a kernel spec's auto-from-F
+        print(f"fieldgp: {exc}", file=sys.stderr)
+        return EXIT_NO_SOLUTION
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"fieldgp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"fieldgp: error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        # e.g. the squared length scale of a curl-free spec
+        print(f"fieldgp: error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -361,6 +361,8 @@ def _run_repetitions(config, draw, F, constrained, constrained_family,
                 try:
                     pts = points[rng.choice(n_points, size=min(nc, n_points),
                                             replace=False)]
+                    # free the previous model's factor before building the next
+                    model = pred = None
                     model = augment(data_aug, F, pts, diagonal)
                     pred = predict_augmented(model, points)
                     collector.ok(key, t0, rmse(pred.means, truth),

@@ -6,6 +6,14 @@ K x K blocks produced by the matrix kernels.  Factorization adds noise
 variance on the diagonal and escalates a small jitter when the matrix is
 numerically semidefinite; the jitter actually used is recorded on the
 model so experiments can report it.
+
+When the kernel is the constant K x K identity applied to a scalar
+kernel k (the independent-output kernel) and nothing but the data is
+conditioned on, the noisy Gram matrix is kron(K_k + noise I, I_K) in
+point-major layout: ``fit_gp`` then factors the N x N matrix once and
+solves it for all K output columns together, and ``predict`` shares one
+variance solve between the components.  Every other model factors the
+dense NK x NK matrix.
 """
 
 import logging
@@ -16,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
-from .kernels import SeHyperparams
+from .kernels import SeHyperparams, identity_factor
 
 logger = logging.getLogger(__name__)
 
@@ -145,12 +153,20 @@ class ObservationBlock(NamedTuple):
 class GpModel:
     """A fitted GP: kernel, training data, and the factored joint Gram matrix.
 
-    ``block`` is the :class:`ObservationBlock` conditioned on besides the
-    data, or None; ``L`` and ``alpha`` cover the data rows, then its rows.
+    ``L`` factors the Gram matrix of ``factor``, and the joint Gram matrix
+    is kron(L L^T, I_repeats): ``factor`` is the scalar kernel of an
+    independent-output ``kernel`` with ``repeats`` components, else
+    ``kernel`` itself with ``repeats`` 1.  ``block`` is the
+    :class:`ObservationBlock` conditioned on besides the data, or None;
+    ``alpha`` is the flattened point-major K^-1 y over the data rows,
+    then the block's rows.
     """
 
-    def __init__(self, kernel, data, L, alpha, noise_variance, jitter, block=None):
+    def __init__(self, kernel, factor, repeats, data, L, alpha, noise_variance, jitter,
+                 block=None):
         self.kernel = kernel
+        self.factor = factor
+        self.repeats = repeats
         self.data = data
         self.L = L
         self.alpha = alpha
@@ -164,28 +180,32 @@ class GpModel:
 
     @property
     def joint_dim(self):
-        return self.L.shape[0]
+        return self.L.shape[0] * self.repeats
 
 
 def fit_gp(data, kernel, noise_variance=None, block=None):
     """Factor the joint Gram matrix and solve for the prediction weights.
 
     With an :class:`ObservationBlock` the GP is conditioned jointly on
-    the data and on the block's zero-valued observations.
+    the data and on the block's zero-valued observations.  Without one,
+    an independent-output kernel factors only its scalar N x N Gram matrix.
     """
     if noise_variance is None:
         noise_variance = data.noise_std ** 2
-    gram = assemble_gram(kernel, data.inputs, noise_variance)
-    y = data.y_flat
+    factor, repeats = kernel, 1
+    if block is None:
+        factor, repeats = identity_factor(kernel) or (kernel, 1)
+    gram = assemble_gram(factor, data.inputs, noise_variance)
+    y = data.y_flat.reshape(-1, repeats)    # column c holds output c in the Kronecker case
     if block is not None:
         k_dc = cross_gram(block.cross, data.inputs, block.points)
         k_cc = cross_gram(block.prior, block.points, block.points)
         gram = np.block([[gram, k_dc], [k_dc.T, k_cc]])
-        y = np.concatenate([y, np.zeros(k_cc.shape[0])])
+        y = np.concatenate([y, np.zeros((k_cc.shape[0], 1))])
         del k_dc, k_cc  # the joint matrix holds copies; free them before factoring
     L, jitter = cholesky_jitter(gram)
-    alpha = cho_solve((L, True), y)
-    return GpModel(kernel, data, L, alpha, noise_variance, jitter, block)
+    alpha = cho_solve((L, True), y).reshape(-1)
+    return GpModel(kernel, factor, repeats, data, L, alpha, noise_variance, jitter, block)
 
 
 def log_marginal_likelihood(model):
@@ -193,7 +213,7 @@ def log_marginal_likelihood(model):
     y = model.data.y_flat
     return float(
         -0.5 * y @ model.alpha[:y.size]
-        - np.sum(np.log(np.diag(model.L)))
+        - model.repeats * np.sum(np.log(np.diag(model.L)))
         - 0.5 * model.joint_dim * LOG_2PI
     )
 
@@ -201,24 +221,24 @@ def log_marginal_likelihood(model):
 def predict(model, Xstar, full_cov=False):
     """Posterior mean and marginal variance of the field at new points."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    m, k_out = Xstar.shape[0], model.data.out_dim
-    C = cross_gram(model.kernel, Xstar, model.data.inputs)
+    m, k_out, repeats = Xstar.shape[0], model.data.out_dim, model.repeats
+    C = cross_gram(model.factor, Xstar, model.data.inputs)
     if model.block is not None:
         C = np.hstack([C, cross_gram(model.block.cross, Xstar, model.block.points)])
-    means = (C @ model.alpha).reshape(m, k_out)
+    means = (C @ model.alpha.reshape(-1, repeats)).reshape(m, k_out)
     # C is not used again: the solve and the square reuse its memory
     v = solve_triangular(model.L, C.T, lower=True, overwrite_b=True)
     covariance = None
     if full_cov:
-        prior_full = cross_gram(model.kernel, Xstar, Xstar)
-        covariance = prior_full - v.T @ v
+        prior_full = cross_gram(model.factor, Xstar, Xstar)
+        covariance = np.kron(prior_full - v.T @ v, np.eye(repeats))
     # stationary kernels: k(x, x) is k(0, 0) at every point
     origin = np.zeros(Xstar.shape[1])
-    prior_diag = np.tile(np.diag(model.kernel.eval(origin, origin)), m)
+    prior_diag = np.tile(np.diag(model.factor.eval(origin, origin)), m)
     variances = prior_diag - np.sum(np.square(v, out=v), axis=0)
     return PredictionResult(
         means=means,
-        marginal_variances=_clamp_variances(variances).reshape(m, k_out),
+        marginal_variances=np.repeat(_clamp_variances(variances), repeats).reshape(m, k_out),
         covariance=covariance,
     )
 

@@ -18,6 +18,7 @@ kernel l^2 times the gradient product.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -222,15 +223,36 @@ class DiagonalKernel(MatrixKernelExpr):
     def __init__(self, theta, out_dim, in_dim=None):
         if out_dim < 1:
             raise ValueError("out_dim must be >= 1")
-        p = 1 if in_dim is None else in_dim
-        one, zero = OperatorPoly.constant(p, 1), OperatorPoly.zero(p)
-        super().__init__(OperatorMatrix([[one if i == j else zero for j in range(out_dim)]
-                                         for i in range(out_dim)]), theta)
+        super().__init__(identity_operator(out_dim, 1 if in_dim is None else in_dim), theta)
         self.in_dim = in_dim
 
     # bound on each family's own class, so that a profiler wrapping it
     # (perfbench/spans.py) times the families apart
     eval_pairwise = MatrixKernelExpr.eval_pairwise
+
+
+@cache
+def identity_operator(size, p):
+    """The constant size x size identity over p variables, built once per shape."""
+    one, zero = OperatorPoly.constant(p, 1), OperatorPoly.zero(p)
+    return OperatorMatrix([[one if i == j else zero for j in range(size)]
+                           for i in range(size)])
+
+
+def identity_factor(kernel):
+    """(k, K) when ``kernel`` is the constant K x K identity applied to the
+    scalar kernel k, else None.  Its Gram matrices are then kron(k's, I_K)
+    in point-major layout.
+
+    k is the 1 x 1 diagonal kernel at the same theta and input dimension,
+    so a profiler wrapping that family's ``eval_pairwise`` still times it.
+    """
+    if not isinstance(kernel, MatrixKernelExpr):
+        return None
+    rows = kernel.shape[0]
+    if kernel.operator != identity_operator(rows, kernel.operator.vars):
+        return None
+    return DiagonalKernel(kernel.theta, 1, kernel.in_dim), rows
 
 
 class CurlFreeKernel(MatrixKernelExpr):

@@ -21,6 +21,7 @@ holds exactly.
 import json
 import math
 import numbers
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -359,8 +360,23 @@ def _coeff_to_json(c):
     return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+#: Most digits, and largest decimal exponent, of a string coefficient in a
+#: JSON spec: Python's own limit on the digits of a JSON integer.
+#: ``Fraction`` expands an exponent exactly, so "1e-4000000" alone would
+#: take seconds and a 13-million-bit denominator.
+MAX_COEFF_DIGITS = 4300
+
+
 def _coeff_from_json(raw):
-    return Fraction(raw) if isinstance(raw, str) else exact(raw)
+    if not isinstance(raw, str):
+        return exact(raw)
+    exponent = re.search(r"[eE][-+]?(\d[\d_]*)", raw)
+    if (sum(ch.isdecimal() for ch in raw) > MAX_COEFF_DIGITS
+            or exponent and int(exponent[1].replace("_", "")) > MAX_COEFF_DIGITS):
+        shown = raw if len(raw) <= 40 else raw[:40] + "..."
+        raise ValueError(f"operator spec coefficient {shown!r}: more than "
+                         f"{MAX_COEFF_DIGITS} digits or a larger decimal exponent")
+    return Fraction(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import contextlib
+import copy
 import io
 import json
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 
 from fieldgp import kernels
 from fieldgp.cli import main
-from fieldgp.experiments import synthetic_curl_free_field, write_field_csv
+from fieldgp.experiments import (ExperimentConfig, parse_rmse_csv,
+                                 synthetic_curl_free_field, write_field_csv)
 from fieldgp.operators import (OperatorMatrix, make_curl_operator_3d,
-                               make_divergence_operator)
+                               make_divergence_operator, symbolic_product)
 
 
 def write_json(path, doc):
@@ -200,6 +204,45 @@ def test_real_experiment_end_to_end(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("nc_schedule,expected", [
+    ([], ["diagonal,0", "constrained,0"]),
+    ([50], ["diagonal,0", "constrained,0", "artificial,50"]),
+], ids=["empty_nc_schedule", "nc_above_grid"])
+def test_sim_experiment_nc_schedule_edges(tmp_path, nc_schedule, expected):
+    # no artificial rows for an empty schedule; an nc above the 9 grid
+    # points conditions on all of them
+    config = write_json(tmp_path / "config.json",
+                        {**TINY_CONFIG, "grid_size": 3, "nc_schedule": nc_schedule})
+    out = tmp_path / "results"
+    assert main(["sim-experiment", "--config", config, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "rmse.csv").read_text().splitlines()[1:]]
+    assert [f"{r[0]},{r[1]}" for r in rows] == expected
+    assert all(r[4] == "1" for r in rows)
+    header = (out / "field_error.csv").read_text().splitlines()[0]
+    assert ("artificial" in header) == bool(nc_schedule)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_real_experiment_every_repetition_fails(tmp_path):
+    # a constant field of 1e300: the prior variance fitted from the data's
+    # spread is tiny, K^-1 y overflows and every likelihood is -inf, so each
+    # fit fails; the report says so with n_ok 0 and a NaN mean
+    rng = np.random.default_rng(5)
+    data = tmp_path / "field.csv"
+    write_field_csv(data, rng.uniform(0, 2, size=(12, 3)), np.full((12, 3), 1e300))
+    config = write_json(tmp_path / "config.json", {
+        "methods": ["diagonal", "curl_free", "artificial"], "nc_schedule": [2],
+        "train_size": 6, "test_size": 6, "repetitions": 2, "restarts": 1,
+        "maxiter": 5, "seed": 0})
+    out = tmp_path / "results"
+    assert main(["real-experiment", "--config", config, "--data", str(data),
+                 "--out", str(out)]) == 0
+    rows = parse_rmse_csv(out / "rmse.csv")
+    assert [(r.method, r.nc) for r in rows] == [
+        ("diagonal", 0), ("curl_free", 0), ("artificial", 2)]
+    assert all(r.n_ok == 0 and np.isnan(r.mean) and np.isnan(r.std) for r in rows)
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
 
@@ -328,10 +371,12 @@ _NOT_INTEGERS = ([1], 2.5, True)
                    "f_operator": make_curl_operator_3d().to_json_dict(),
                    "max_degree": value, "hyperparams": _HYPER})
       for value in _NOT_INTEGERS],
+    ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e200}}),
 ], ids=["entry_without_row", "term_without_exponents", "entries_not_a_list",
         "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object",
         "out_dim_list", "out_dim_fraction", "out_dim_bool",
-        "max_degree_list", "max_degree_fraction", "max_degree_bool"])
+        "max_degree_list", "max_degree_fraction", "max_degree_bool",
+        "length_scale_squared_overflows"])
 def test_malformed_spec_exit_1(tmp_path, command, doc):
     spec = write_json(tmp_path / "spec.json", doc)
     if command == "construct-g":
@@ -351,6 +396,23 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
     for key in ("out_dim", "max_degree"):
         if isinstance(doc, dict) and key in doc:
             assert f"kernel spec {key!r} must be an integer" in proc.stderr
+
+
+def test_predict_auto_from_f_without_annihilator_exit_2(tmp_path, capsys):
+    # F = [1] has no nonzero annihilator: exit 2, as construct-g does
+    X, B = synthetic_curl_free_field(10, seed=4)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    spec = write_json(tmp_path / "kernel.json", {
+        "type": "transformed", "g_operator": "auto-from-F", "max_degree": 1,
+        "f_operator": {"vars": 3, "rows": 1, "cols": 1, "entries": [
+            {"row": 0, "col": 0, "terms": [{"coeff": 1, "exponents": [0, 0, 0]}]}]},
+        "hyperparams": _HYPER})
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"),
+                 "--out", str(tmp_path / "pred.csv"), "--no-fit"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("fieldgp: no annihilating operator found")
 
 
 def _div_doc(**changes):
@@ -394,6 +456,35 @@ def test_construct_g_many_variables_exit_0(tmp_path, capsys):
     assert main(["construct-g", "--f-spec", spec, "--out", str(out)]) == 0
     G = OperatorMatrix.load_json(out)
     assert (G.vars, G.rows, G.cols) == (3000, 1, 1)
+
+
+@pytest.mark.parametrize("coeff", ["1e-4000000", "2E+4301", "1" * 4301 + "/3"],
+                         ids=["exponent", "positive_exponent", "digits"])
+def test_construct_g_huge_coefficient_exit_1_fast(tmp_path, capsys, coeff):
+    # Fraction would expand the exponent exactly: seconds and a
+    # 13-million-bit denominator for the first spec
+    doc = _div_entries()
+    doc["entries"][0]["terms"][0]["coeff"] = coeff
+    spec = write_json(tmp_path / "spec.json", doc)
+    start = time.perf_counter()
+    code = main(["construct-g", "--f-spec", spec, "--out", str(tmp_path / "g.json")])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fieldgp: error: operator spec coefficient '{coeff[:40]}")
+
+
+def test_construct_g_large_coefficients_round_trip(tmp_path):
+    # the bound leaves room for long exact rationals and float-sized exponents
+    doc = _div_entries()
+    doc["entries"][0]["terms"][0]["coeff"] = "1e-330"
+    doc["entries"][1]["terms"][0]["coeff"] = "7" * 500 + "/" + "3" * 499
+    spec = write_json(tmp_path / "spec.json", doc)
+    out = tmp_path / "g.json"
+    assert main(["construct-g", "--f-spec", spec, "--out", str(out)]) == 0
+    G = OperatorMatrix.load_json(out)
+    F = OperatorMatrix.from_json_dict(doc)
+    assert symbolic_product(F, G).is_zero()
 
 
 _FUZZ_COEFFS = st.one_of(
@@ -443,6 +534,85 @@ def test_operator_spec_fuzz_exit_codes(doc):
         _exit_code_without_traceback(
             ["check-kernel", "--f-spec", spec, "--samples", "1",
              "--g-spec", "auto" if code == 0 else spec])
+
+
+# JSON values of every type, kept small so that a valid draw stays fast
+_FUZZ_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats()), max_size=3),
+)
+
+
+_BASE_KERNEL_SPECS = (
+    {"type": "diagonal", "out_dim": 3, "in_dim": 3, "hyperparams": _HYPER},
+    {"type": "curl_free_3d", "hyperparams": _HYPER},
+    {"type": "transformed", "g_operator": "auto-from-F", "max_degree": 1,
+     "f_operator": make_curl_operator_3d().to_json_dict(), "hyperparams": _HYPER},
+)
+
+
+@st.composite
+def _integer_operator_specs(draw):
+    """Valid specs over the data's 3 variables: one integer monomial of degree <= 1 per entry."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    monomials = st.sampled_from([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return {"vars": 3, "rows": rows, "cols": cols,
+            "entries": [{"row": i, "col": j, "terms": [
+                {"coeff": draw(st.integers(-2, 2)), "exponents": draw(monomials)}]}
+                for i in range(rows) for j in range(cols)]}
+
+
+@st.composite
+def _kernel_specs(draw):
+    """A valid kernel spec with one key, or one hyperparameter, replaced (or none)."""
+    doc = copy.deepcopy(draw(st.sampled_from(_BASE_KERNEL_SPECS)))
+    key = draw(st.sampled_from([None, "type", "hyperparams", "out_dim", "in_dim",
+                                "g_operator", "f_operator", "max_degree", *_HYPER]))
+    if key in _HYPER:
+        doc["hyperparams"] = {**_HYPER, key: draw(st.one_of(
+            st.floats(), st.floats(1e150, 1e308), st.floats(5e-324, 1e-150), _FUZZ_JSON))}
+    elif key in ("g_operator", "f_operator"):
+        doc[key] = draw(st.one_of(_integer_operator_specs(), _operator_specs(), _FUZZ_JSON))
+    elif key is not None:
+        doc[key] = draw(st.one_of(_FUZZ_JSON, st.integers(-1, 4), st.sampled_from(
+            ["diagonal", "curl_free_3d", "transformed", "auto-from-F"])))
+    return doc
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_kernel_specs())
+def test_kernel_spec_fuzz_exit_codes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        X, B = synthetic_curl_free_field(6, seed=4)
+        write_field_csv(tmp / "train.csv", X, B)
+        (tmp / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n2.0,0.5,1.5\n")
+        _exit_code_without_traceback(
+            ["predict", "--data", str(tmp / "train.csv"),
+             "--kernel-spec", write_json(tmp / "kernel.json", doc),
+             "--points", str(tmp / "points.csv"), "--out", str(tmp / "pred.csv"),
+             "--no-fit"])
+
+
+# one repetition, 5 points, a 3 x 3 grid and 2 iterations: valid draws stay fast
+_FUZZ_BASE_CONFIG = {
+    "n_train": 5, "grid_size": 3, "nc_schedule": [2], "repetitions": 1,
+    "restarts": 1, "maxiter": 2, "seed": 0,
+    "methods": ["diagonal", "constrained", "artificial"],
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(f.name for f in fields(ExperimentConfig)) + ["unknown"]),
+       st.one_of(_FUZZ_JSON, st.lists(st.lists(st.floats(), max_size=3), max_size=3)))
+def test_config_fuzz_exit_codes(key, value):
+    # one key of a tiny valid config replaced by an arbitrary JSON value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_json(Path(tmp) / "config.json", {**_FUZZ_BASE_CONFIG, key: value})
+        _exit_code_without_traceback(
+            ["sim-experiment", "--config", config, "--out", str(Path(tmp) / "out")])
 
 
 # ---------------------------------------------------------------------------

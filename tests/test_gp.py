@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldgp.baseline import augment
 from fieldgp.gp import (
@@ -18,8 +20,8 @@ from fieldgp.gp import (
     log_marginal_likelihood,
     predict,
 )
-from fieldgp.kernels import DiagonalKernel, SeHyperparams, transform_kernel
-from fieldgp.operators import construct_g, make_divergence_operator
+from fieldgp.kernels import CurlFreeKernel, DiagonalKernel, SeHyperparams, transform_kernel
+from fieldgp.operators import construct_g, make_curl_operator_3d, make_divergence_operator
 
 from conftest import fd_divergence
 
@@ -351,6 +353,88 @@ def test_predict_leaves_model_unchanged_and_repeats(rng, case):
         assert np.array_equal(first.covariance, second.covariance)
         assert np.allclose(np.diag(first.covariance),
                            first.marginal_variances.reshape(-1), rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker factorization of independent-output kernels
+
+
+@st.composite
+def _kronecker_problems(draw):
+    """An independent-output GP problem, well conditioned apart from one duplicate.
+
+    The distinct inputs sit on a grid 2.5 length scales apart, so their
+    Gram matrix is diagonally dominant.  With ``duplicate`` the first
+    point and its output are repeated, and with zero noise the jitter
+    must escalate: sv is a square of a short binary fraction, so the
+    repeated pivot cancels to exactly 0 in either factorization.
+    """
+    k, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim),
+                          min_size=1, max_size=5, unique=True))
+    ell = draw(st.floats(0.3, 2.0))
+    sv = draw(st.sampled_from([0.25, 1.0, 2.25, 4.0]))
+    noise = draw(st.sampled_from([0.0, 1e-6, 1e-2]))
+    duplicate = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = 2.5 * ell * np.array(cells, dtype=float)
+    Y = rng.standard_normal((len(X), k))
+    if duplicate:
+        X, Y = np.insert(X, 1, X[0], axis=0), np.insert(Y, 1, Y[0], axis=0)
+    Xs = rng.uniform(-ell, 2.5 * ell * 3 + ell, size=(draw(st.integers(1, 4)), dim))
+    return DiagonalKernel(SeHyperparams(sv, ell), k, in_dim=dim), X, Y, noise, Xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kronecker_problems())
+def test_kronecker_path_matches_dense_oracle(problem):
+    # the N x N factor against numpy on the NK x NK Gram matrix the dense
+    # path factors: same jitter, LML, means, variances and covariance
+    kernel, X, Y, noise, Xs = problem
+    n, k = Y.shape
+    model = fit_gp(Dataset(X, Y), kernel, noise_variance=noise)
+    assert model.L.shape == (n, n) and model.joint_dim == n * k
+
+    gram = assemble_gram(kernel, X, noise)
+    _, jitter = cholesky_jitter(gram)
+    assert model.jitter == jitter
+    if noise == 0 and n >= 2 and np.array_equal(X[0], X[1]):
+        assert jitter > 0
+    A = gram + jitter * np.eye(n * k)
+    y = Y.reshape(-1)
+    alpha = np.linalg.solve(A, y)
+    lml = -0.5 * y @ alpha - 0.5 * np.linalg.slogdet(A)[1] - 0.5 * n * k * np.log(2 * np.pi)
+    # a duplicate's pivot is only the noise or jitter that lifts it off zero,
+    # computed with a rounding error ~eps * scale by either factorization:
+    # the log-determinant is good to ~eps times the condition number
+    eigenvalues = np.linalg.eigvalsh(A)
+    slack = 1e2 * n * k * np.finfo(float).eps * eigenvalues[-1] / eigenvalues[0]
+    assert abs(log_marginal_likelihood(model) - lml) <= 1e-10 * abs(lml) + slack
+
+    C = cross_gram(kernel, Xs, X)
+    cov = cross_gram(kernel, Xs, Xs) - C @ np.linalg.solve(A, C.T)
+    pred = predict(model, Xs, full_cov=True)
+    np.testing.assert_allclose(pred.means.reshape(-1), C @ alpha, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(pred.covariance, cov, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(pred.marginal_variances.reshape(-1),
+                               np.maximum(np.diag(cov), 0.0), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["curl_free", "transformed", "augment"])
+def test_dense_path_factors_the_joint_matrix(rng, case):
+    # only the identity kernel without an observation block is factored as N x N
+    X = rng.uniform(0, 3, size=(6, 3))
+    data = Dataset(X, rng.standard_normal((6, 3)), noise_std=0.1)
+    if case == "augment":
+        model = augment(data, make_curl_operator_3d(), rng.uniform(0, 3, size=(2, 3)),
+                        DiagonalKernel(THETA, 3, in_dim=3))
+        assert model.L.shape == (6 * 3 + 2 * 3,) * 2
+    else:
+        kernel = (CurlFreeKernel(THETA) if case == "curl_free" else
+                  transform_kernel(construct_g(make_divergence_operator(3))[0], THETA))
+        model = fit_gp(data, kernel)
+        assert model.L.shape == (6 * 3,) * 2
+    assert model.repeats == 1 and model.joint_dim == model.L.shape[0]
 
 
 def test_dataset_validation():

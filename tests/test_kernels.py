@@ -16,6 +16,7 @@ from fieldgp.kernels import (
     SeHyperparams,
     SumKernel,
     apply_operator_to_expr,
+    identity_factor,
     kernel_from_spec,
     se_derivative,
     se_eval,
@@ -303,6 +304,33 @@ def test_diagonal_kernel_equals_its_expression_bitwise(rng):
                 b = ref.eval_pairwise(X, X2)
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
     assert DiagonalKernel(THETA, 2, in_dim=2).entries == _identity_expr(2, 2).entries
+
+
+def test_diagonal_kernels_share_one_identity_operator():
+    # built once per (out_dim, in_dim), whatever the hyperparameters
+    other = SeHyperparams(signal_variance=0.4, length_scale=2.5)
+    assert DiagonalKernel(THETA, 3, in_dim=2).operator is \
+        DiagonalKernel(other, 3, in_dim=2).operator
+    assert DiagonalKernel(THETA, 2).operator is DiagonalKernel(other, 2, in_dim=1).operator
+    assert DiagonalKernel(THETA, 3, in_dim=2).operator is not \
+        DiagonalKernel(THETA, 3, in_dim=3).operator
+
+
+def test_identity_factor_is_keyed_on_the_operator():
+    # the hand-built identity qualifies as well as DiagonalKernel; the
+    # factor keeps theta and the kernel's input dimension
+    for kernel, in_dim in ((DiagonalKernel(THETA, 3), None),
+                           (DiagonalKernel(THETA, 2, in_dim=3), 3),
+                           (_identity_expr(3, 2), 2)):
+        factor, repeats = identity_factor(kernel)
+        assert isinstance(factor, DiagonalKernel)
+        assert (factor.shape, factor.theta, factor.in_dim) == ((1, 1), THETA, in_dim)
+        assert repeats == kernel.shape[0]
+    twice = MatrixKernelExpr(OperatorMatrix([[OperatorPoly.constant(2, 2)]]), THETA)
+    for kernel in (CurlFreeKernel(THETA), transform_kernel(
+            construct_g(make_divergence_operator(2))[0], THETA), twice,
+            SumKernel([DiagonalKernel(THETA, 2)] * 2)):
+        assert identity_factor(kernel) is None
 
 
 def test_diagonal_kernel_without_in_dim_takes_no_operator():
