@@ -36,7 +36,7 @@ print(F.render())
 # F (Gamma xi) into a homogeneous system A vec(Gamma) = 0.
 system = build_ansatz_system(F, AnsatzBasis(2, {1}))
 print("\ncoefficient system A (rows: product monomials, cols: vec(Gamma)):")
-print(np.array(system.as_array(), dtype=int))
+print(np.array(system.matrix, dtype=int))
 
 G, solution = construct_g(F)
 print("\nannihilator G (one column per nullspace vector):")

@@ -24,10 +24,10 @@ from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperp
                       SumKernel, apply_operator_to_expr, covariance_operator,
                       kernel_family_from_spec, kernel_from_spec, se_derivative, se_eval,
                       transform_kernel)
-from .operators import (MIXED, AnsatzBasis, AnsatzSystem, DimensionMismatch,
-                        GammaSolution, NoAnnihilatorFound, OperatorMatrix,
-                        OperatorPoly, build_ansatz_system, construct_g,
-                        make_curl_operator_3d, make_divergence_operator,
-                        monomials_of_degree, nullspace, symbolic_product)
+from .operators import (AnsatzBasis, AnsatzSystem, DimensionMismatch, GammaSolution,
+                        NoAnnihilatorFound, OperatorMatrix, OperatorPoly,
+                        build_ansatz_system, construct_g, make_curl_operator_3d,
+                        make_divergence_operator, monomials_of_degree, nullspace,
+                        symbolic_product)
 
 __version__ = "0.1.0"

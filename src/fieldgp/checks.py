@@ -69,7 +69,7 @@ class ConstraintCheckReport:
         return self.max_abs_violation / self.kernel_scale
 
     def passed(self, tol):
-        return self.n_samples == 0 or self.max_relative_violation <= tol
+        return self.max_relative_violation <= tol
 
 
 #: Finite-difference step and the half-width of the sampling box, in length scales.
@@ -85,6 +85,8 @@ def check_kernel_constraint(F, kernel, n_samples=100, seed=0):
     kernel the result is analytically zero.  The violation is reported
     relative to the largest kernel entry seen.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     if F.cols != kernel.out_dim:
         raise ValueError("operator columns must match the kernel output dimension")
     rng = np.random.default_rng(seed)
@@ -99,6 +101,4 @@ def check_kernel_constraint(F, kernel, n_samples=100, seed=0):
                     float(np.max(np.abs(kernel.eval(x2, x2)))))
         applied = fd_apply_operator(F, lambda p: kernel.eval(p, x2), x, h)
         max_abs = max(max_abs, float(np.max(np.abs(applied))))
-    if n_samples == 0:
-        return ConstraintCheckReport(0.0, 1.0, 0)
     return ConstraintCheckReport(max_abs, max(scale, 1e-300), n_samples)

@@ -172,8 +172,11 @@ def _cmd_predict(args):
     kernel = family(theta)
     data = Dataset(X, B, noise_std=float(np.sqrt(theta.noise_variance)))
     if not args.no_fit:
-        fit = fit_hyperparameters(data, family, theta,
-                                  OptConfig(seed=args.seed, learn_noise=True))
+        try:
+            fit = fit_hyperparameters(data, family, theta,
+                                      OptConfig(seed=args.seed, learn_noise=True))
+        except RuntimeError as exc:  # every objective evaluation failed
+            raise _UsageError(str(exc)) from exc
         kernel = family(fit.theta)
         data = Dataset(X, B, noise_std=float(np.sqrt(fit.theta.noise_variance)))
     model = fit_gp(data, kernel)

@@ -17,7 +17,7 @@ dense NK x NK matrix.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -162,21 +162,15 @@ class GpModel:
     then the block's rows.
     """
 
-    def __init__(self, kernel, factor, repeats, data, L, alpha, noise_variance, jitter,
-                 block=None):
+    def __init__(self, kernel, factor, repeats, data, L, alpha, jitter, block=None):
         self.kernel = kernel
         self.factor = factor
         self.repeats = repeats
         self.data = data
         self.L = L
         self.alpha = alpha
-        self.noise_variance = noise_variance
         self.jitter = jitter
         self.block = block
-
-    @property
-    def theta(self):
-        return self.kernel.theta
 
     @property
     def joint_dim(self):
@@ -190,6 +184,7 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
     the data and on the block's zero-valued observations.  Without one,
     an independent-output kernel factors only its scalar N x N Gram matrix.
     """
+    _check_out_dim(kernel, data)
     if noise_variance is None:
         noise_variance = data.noise_std ** 2
     factor, repeats = kernel, 1
@@ -205,7 +200,13 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
         del k_dc, k_cc  # the joint matrix holds copies; free them before factoring
     L, jitter = cholesky_jitter(gram)
     alpha = cho_solve((L, True), y).reshape(-1)
-    return GpModel(kernel, factor, repeats, data, L, alpha, noise_variance, jitter, block)
+    return GpModel(kernel, factor, repeats, data, L, alpha, jitter, block)
+
+
+def _check_out_dim(kernel, data):
+    if kernel.shape[0] != data.out_dim:
+        raise ValueError(f"the kernel has {kernel.shape[0]} output components, "
+                         f"the data {data.out_dim}")
 
 
 def log_marginal_likelihood(model):
@@ -274,11 +275,10 @@ class OptConfig:
 
 @dataclass
 class FitResult:
-    """Best hyperparameters found plus the optimizer's bookkeeping."""
+    """Best hyperparameters found and the number of objective evaluations."""
 
     theta: SeHyperparams
     lml: float
-    trace: list = field(default_factory=list)
     n_evals: int = 0
 
 
@@ -299,9 +299,9 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
     rng = np.random.default_rng(cfg.seed)
     sf_bounds, ls_bounds = _default_bounds(data)
 
+    _check_out_dim(kernel_family(init), data)
     fixed_noise = init.noise_variance
-    best_trace = []
-    state = {"best": -np.inf, "n": 0}
+    n_evals = 0
 
     def theta_of(z):
         sv = np.exp(2.0 * z[0])
@@ -310,7 +310,8 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
         return SeHyperparams(signal_variance=sv, length_scale=ls, noise_variance=nv)
 
     def objective(z):
-        state["n"] += 1
+        nonlocal n_evals
+        n_evals += 1
         try:
             theta = theta_of(z)
             model = fit_gp(data, kernel_family(theta), noise_variance=theta.noise_variance)
@@ -320,9 +321,6 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
             lml = -np.inf
         if np.isnan(lml):
             lml = -np.inf
-        if lml > state["best"]:
-            state["best"] = lml
-        best_trace.append(state["best"])
         return -lml
 
     z0 = [np.log(np.sqrt(init.signal_variance)), np.log(init.length_scale)]
@@ -346,8 +344,7 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
             best_val, best_z = res.fun, res.x
     if best_z is None or not np.isfinite(best_val):
         raise RuntimeError("hyperparameter search failed on every restart")
-    return FitResult(theta=theta_of(best_z), lml=-best_val,
-                     trace=best_trace, n_evals=state["n"])
+    return FitResult(theta=theta_of(best_z), lml=-best_val, n_evals=n_evals)
 
 
 def _default_bounds(data):

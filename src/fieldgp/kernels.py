@@ -104,8 +104,6 @@ class MatrixKernel:
         x2 = np.atleast_2d(np.asarray(x2, dtype=float))
         return self.eval_pairwise(x, x2)[0, :, 0, :]
 
-    __call__ = eval
-
 
 #: Point pairs per evaluation block, so that the block's dozen or so
 #: temporaries stay in a core's L2 cache.
@@ -268,6 +266,9 @@ class CurlFreeKernel(MatrixKernelExpr):
         grad = OperatorMatrix([[OperatorPoly.monomial(3, e)]
                                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
         ell2 = theta.length_scale ** 2
+        if ell2 == 0.0:  # the kernel would be identically zero
+            raise ValueError(f"curl-free length_scale {theta.length_scale!r} "
+                             "is too small: its square underflows to 0")
         super().__init__(OperatorMatrix([[ell2 * poly for poly in row]
                                          for row in covariance_operator(grad).entries]),
                          theta)
@@ -276,7 +277,11 @@ class CurlFreeKernel(MatrixKernelExpr):
 
 
 class SumKernel(MatrixKernel):
-    """Elementwise sum of same-shape matrix kernels (per-column priors)."""
+    """Elementwise sum of same-shape matrix kernels.
+
+    No pipeline builds one.  It stays because ``perfbench/spans.py`` wraps
+    its ``eval_pairwise`` by name; drop it with the next benchmark change.
+    """
 
     def __init__(self, parts):
         if not parts:
@@ -303,25 +308,15 @@ def covariance_operator(G):
     return symbolic_product(G, _adjoint(G))
 
 
-def transform_kernel(G, theta, per_column_thetas=None):
-    """Covariance of ``f = G[g]`` for independent scalar SE priors on g.
+def transform_kernel(G, theta):
+    """Covariance of ``f = G[g]`` for a scalar SE prior on g.
 
     ``G`` is an n x P operator matrix over the input dimension.  The
     result is :func:`covariance_operator` G adj(G) in d/dr applied to one
     SE kernel.
-
-    With ``per_column_thetas`` each potential component gets its own
-    hyperparameters and the result is a :class:`SumKernel`; by default a
-    single shared ``theta`` yields one :class:`MatrixKernelExpr`.
     """
     if not isinstance(G, OperatorMatrix):
         raise TypeError("G must be an OperatorMatrix")
-    if per_column_thetas is not None:
-        if len(per_column_thetas) != G.cols:
-            raise DimensionMismatch("one theta per column of G is required")
-        parts = [transform_kernel(OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)]), th)
-                 for c, th in enumerate(per_column_thetas)]
-        return parts[0] if len(parts) == 1 else SumKernel(parts)
     return MatrixKernelExpr(covariance_operator(G), theta)
 
 

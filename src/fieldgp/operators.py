@@ -25,10 +25,6 @@ import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-import numpy as np
-
-MIXED = "mixed"
-
 
 class DimensionMismatch(ValueError):
     """Operator shapes or variable counts are incompatible."""
@@ -150,13 +146,6 @@ class OperatorPoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        """Common total degree of all terms, ``MIXED`` if they differ, None if zero."""
-        if not self.terms:
-            return None
-        degs = {sum(m) for m in self.terms}
-        return degs.pop() if len(degs) == 1 else MIXED
-
     def max_degree(self):
         return max((sum(m) for m in self.terms), default=0)
 
@@ -251,17 +240,6 @@ class OperatorMatrix:
         self.vars = p
         self.entries = tuple(tuple(row) for row in entries)
 
-    @classmethod
-    def zeros(cls, rows, cols, p):
-        return cls([[OperatorPoly.zero(p)] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_entry_map(cls, rows, cols, p, entry_map):
-        grid = [[OperatorPoly.zero(p)] * cols for _ in range(rows)]
-        for (i, j), poly in entry_map.items():
-            grid[i][j] = poly
-        return cls(grid)
-
     def entry(self, i, j):
         return self.entries[i][j]
 
@@ -315,7 +293,7 @@ class OperatorMatrix:
             raise ValueError(f"malformed operator spec: {exc}") from exc
         if p < 1 or rows < 1 or cols < 1:
             raise ValueError("vars, rows and cols must all be >= 1")
-        entry_map = {}
+        grid = [[OperatorPoly.zero(p)] * cols for _ in range(rows)]
         try:
             for ent in raw_entries:
                 i, j = _json_int(ent["row"], "row"), _json_int(ent["col"], "col")
@@ -328,13 +306,10 @@ class OperatorMatrix:
                         raise ValueError(f"bad exponents {exps} (vars={p})")
                     coeff = _coeff_from_json(term["coeff"])
                     terms[exps] = terms.get(exps, 0) + coeff
-                poly = OperatorPoly(p, terms)
-                if (i, j) in entry_map:
-                    poly = entry_map[i, j] + poly
-                entry_map[i, j] = poly
+                grid[i][j] = grid[i][j] + OperatorPoly(p, terms)  # repeated cells sum
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed operator entries: {exc!r}") from None
-        return cls.from_entry_map(rows, cols, p, entry_map)
+        return cls(grid)
 
     def dump_json(self, path):
         doc = self.to_json_dict()
@@ -458,23 +433,16 @@ class AnsatzSystem:
     operator identity does.
     """
 
-    __slots__ = ("matrix", "row_index", "col_index", "ansatz", "n_components")
+    __slots__ = ("matrix", "row_index", "col_index")
 
-    def __init__(self, matrix, row_index, col_index, ansatz, n_components):
+    def __init__(self, matrix, row_index, col_index):
         self.matrix = matrix
         self.row_index = row_index
         self.col_index = col_index
-        self.ansatz = ansatz
-        self.n_components = n_components
 
     @property
     def ncols(self):
         return len(self.col_index)
-
-    def as_array(self):
-        if not self.matrix:
-            return np.zeros((0, self.ncols))
-        return np.array([[float(x) for x in row] for row in self.matrix])
 
 
 def build_ansatz_system(F, ansatz):
@@ -511,7 +479,7 @@ def build_ansatz_system(F, ansatz):
             cols = per_mono[prod]
             matrix.append([cols.get(c, 0) for c in range(n * m_g)])
             row_index.append((i, prod))
-    return AnsatzSystem(matrix, row_index, col_index, ansatz, n)
+    return AnsatzSystem(matrix, row_index, col_index)
 
 
 def nullspace(A, ncols=None):
@@ -621,19 +589,8 @@ def construct_g(F, max_degree=3):
         if not vectors:
             continue
         gammas = [_normalize_gamma(v, n, ansatz.size) for v in vectors]
-        columns = []
-        for gamma in gammas:
-            col = []
-            for j in range(n):
-                terms = {
-                    mono: gamma[j][k]
-                    for k, mono in enumerate(ansatz.monomials)
-                    if gamma[j][k] != 0
-                }
-                col.append(OperatorPoly(F.vars, terms))
-            columns.append(col)
-        G = OperatorMatrix([[columns[c][j] for c in range(len(columns))]
-                            for j in range(n)])
+        G = OperatorMatrix([[OperatorPoly(F.vars, dict(zip(ansatz.monomials, gamma[j])))
+                             for gamma in gammas] for j in range(n)])
         if not symbolic_product(F, G).is_zero():
             raise RuntimeError("constructed G does not annihilate F exactly")
         return G, GammaSolution(gammas, ansatz)

@@ -119,6 +119,22 @@ def test_check_kernel_zero_samples_vacuous(div_spec, capsys):
     assert "vacuous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["-1", "-5"])
+def test_check_kernel_negative_samples_exit_1(tmp_path, div_spec, capsys, samples):
+    # a gradient G does not annihilate the divergence: no sample count may pass it
+    grad = {"vars": 2, "rows": 2, "cols": 1, "entries": [
+        {"row": i, "col": 0, "terms": [{"coeff": 1, "exponents": [int(i == 0), int(i == 1)]}]}
+        for i in range(2)]}
+    argv = ["check-kernel", "--f-spec", div_spec,
+            "--g-spec", write_json(tmp_path / "grad.json", grad)]
+    assert main(argv + ["--samples", "3"]) == 1
+    capsys.readouterr()
+    assert main(argv + ["--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fieldgp: error: n_samples must be >= 1, not {samples}")
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -372,11 +388,12 @@ _NOT_INTEGERS = ([1], 2.5, True)
                    "max_degree": value, "hyperparams": _HYPER})
       for value in _NOT_INTEGERS],
     ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e200}}),
+    ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e-200}}),
 ], ids=["entry_without_row", "term_without_exponents", "entries_not_a_list",
         "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object",
         "out_dim_list", "out_dim_fraction", "out_dim_bool",
         "max_degree_list", "max_degree_fraction", "max_degree_bool",
-        "length_scale_squared_overflows"])
+        "length_scale_squared_overflows", "length_scale_squared_underflows"])
 def test_malformed_spec_exit_1(tmp_path, command, doc):
     spec = write_json(tmp_path / "spec.json", doc)
     if command == "construct-g":
@@ -396,6 +413,8 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
     for key in ("out_dim", "max_degree"):
         if isinstance(doc, dict) and key in doc:
             assert f"kernel spec {key!r} must be an integer" in proc.stderr
+    if isinstance(doc, dict) and doc.get("hyperparams") == {**_HYPER, "length_scale": 1e-200}:
+        assert "length_scale" in proc.stderr
 
 
 def test_predict_auto_from_f_without_annihilator_exit_2(tmp_path, capsys):
@@ -413,6 +432,40 @@ def test_predict_auto_from_f_without_annihilator_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "pred.csv"), "--no-fit"])
     assert code == 2
     assert capsys.readouterr().err.startswith("fieldgp: no annihilating operator found")
+
+
+@pytest.mark.parametrize("no_fit", [True, False], ids=["no_fit", "fit"])
+def test_predict_kernel_out_dim_mismatch_exit_1(tmp_path, capsys, no_fit):
+    # a 2-output kernel on a 3-component field, before any fit evaluation
+    X, B = synthetic_curl_free_field(10, seed=4)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    spec = write_json(tmp_path / "kernel.json",
+                      {"type": "diagonal", "out_dim": 2, "hyperparams": _HYPER})
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"),
+                 "--out", str(tmp_path / "pred.csv"), *(["--no-fit"] if no_fit else [])])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "fieldgp: error: the kernel has 2 output components, the data 3\n")
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_predict_every_fit_evaluation_fails_exit_1(tmp_path, capsys):
+    # a constant field of 1e300: every likelihood is -inf, so the fit fails
+    rng = np.random.default_rng(5)
+    write_field_csv(tmp_path / "train.csv", rng.uniform(0, 2, size=(30, 3)),
+                    np.full((30, 3), 1e300))
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    spec = write_json(tmp_path / "kernel.json", {"type": "diagonal", "hyperparams": _HYPER})
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"), "--out", str(tmp_path / "pred.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "fieldgp: error: hyperparameter search failed on every restart\n")
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def _div_doc(**changes):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldgp import gp
 from fieldgp.baseline import augment
 from fieldgp.gp import (
     JITTER_BASE_SCALE,
@@ -211,16 +212,21 @@ def test_fit_from_optimum_never_worse():
     assert fit.lml >= init_lml - 1e-9
 
 
-def test_fit_best_seen_trace_monotone(rng):
+def test_fit_counts_every_objective_evaluation(rng, monkeypatch):
     X = rng.uniform(0, 4, size=(12, 2))
     Y = rng.standard_normal((12, 1))
     data = Dataset(X, Y, noise_std=0.1)
+    calls = []
+
+    def counting_fit_gp(*args, **kwargs):
+        calls.append(None)
+        return fit_gp(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "fit_gp", counting_fit_gp)
     fit = fit_hyperparameters(data, lambda th: DiagonalKernel(th, 1),
                               SeHyperparams(1.0, 1.0, 0.01),
                               OptConfig(restarts=2, maxiter=60, seed=3))
-    trace = np.array(fit.trace)
-    assert fit.n_evals == trace.size
-    assert np.all(np.diff(trace) >= 0)
+    assert fit.n_evals == len(calls) > 0
 
 
 def test_fit_deterministic_given_seed(rng):

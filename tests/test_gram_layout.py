@@ -19,10 +19,12 @@ from fieldgp.kernels import (
     CurlFreeKernel,
     DiagonalKernel,
     SeHyperparams,
+    SumKernel,
     apply_operator_to_expr,
     transform_kernel,
 )
-from fieldgp.operators import construct_g, make_curl_operator_3d, make_divergence_operator
+from fieldgp.operators import (OperatorMatrix, construct_g, make_curl_operator_3d,
+                               make_divergence_operator)
 
 from kernel_reference import reference_pairwise
 
@@ -53,7 +55,10 @@ def _families():
         "curl_free": (3, CurlFreeKernel(THETA)),
         "diagonal2d": (2, DiagonalKernel(THETA, 2)),
         "diagonal3d": (3, DiagonalKernel(THETA, 3)),
-        "per_column_sum": (3, transform_kernel(G3, THETA, per_column_thetas=column_thetas)),
+        # one prior per potential component: a sum of single-column kernels
+        "per_column_sum": (3, SumKernel([
+            transform_kernel(OperatorMatrix([[G3.entry(j, c)] for j in range(3)]), th)
+            for c, th in enumerate(column_thetas)])),
     }
     # the cov(f, F[f]) and cov(F[f], F[f]) expressions baseline.augment builds
     for name, F, dim in (("div2d", make_divergence_operator(2), 2),

@@ -478,22 +478,6 @@ def test_gram_psd_before_jitter(kernel_factory, rng):
     assert eigs.min() >= -1e-8 * eigs.max()
 
 
-def test_per_column_thetas_sum(rng):
-    G, _ = construct_g(make_divergence_operator(3))
-    thetas = [SeHyperparams(0.5, 0.7), SeHyperparams(1.0, 1.1),
-              SeHyperparams(2.0, 0.9)]
-    summed = transform_kernel(G, thetas[0], per_column_thetas=thetas)
-    assert isinstance(summed, SumKernel)
-    x, x2 = rng.normal(size=3), rng.normal(size=3)
-    parts = [transform_kernel(OperatorMatrix([[G.entry(j, c)] for j in range(3)]),
-                              thetas[c]).eval(x, x2)
-             for c in range(3)]
-    assert np.allclose(summed.eval(x, x2), sum(parts))
-    shared = transform_kernel(G, THETA,
-                              per_column_thetas=[THETA, THETA, THETA])
-    assert np.allclose(shared.eval(x, x2), transform_kernel(G, THETA).eval(x, x2))
-
-
 # ---------------------------------------------------------------------------
 # kernel specs
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldgp.operators import (
-    MIXED,
     AnsatzBasis,
     DimensionMismatch,
     NoAnnihilatorFound,
@@ -138,10 +137,8 @@ def test_float_coefficients_are_the_decimals_they_spell():
 
 
 def test_poly_degree_queries():
-    assert OperatorPoly.zero(2).degree() is None
-    assert dx(2, 0).degree() == 1
+    assert OperatorPoly.zero(2).max_degree() == 0
     mixed = dx(2, 0) + OperatorPoly.constant(2, 3)
-    assert mixed.degree() == MIXED
     assert mixed.max_degree() == 1
 
 
@@ -231,7 +228,7 @@ def test_ansatz_system_golden_2d_divergence():
 
 
 def test_ansatz_system_zero_operator():
-    F = OperatorMatrix.zeros(1, 1, 2)
+    F = OperatorMatrix([[OperatorPoly.zero(2)]])
     system = build_ansatz_system(F, AnsatzBasis(2, {1}))
     assert all(all(x == 0 for x in row) for row in system.matrix)
     vectors = nullspace(system)
@@ -513,6 +510,20 @@ def test_json_float_coefficients_read_exactly():
     assert F.entry(0, 0).terms == {(1,): Fraction(3, 10), (0,): 2}
     terms = F.to_json_dict()["entries"][0]["terms"]
     assert [t["coeff"] for t in terms] == [2, "3/10"]
+
+
+def test_json_repeated_entries_sum():
+    # two entries for cell (0, 1), plus one for (0, 0); (0, 2) stays zero
+    doc = {"vars": 2, "rows": 1, "cols": 3, "entries": [
+        {"row": 0, "col": 1, "terms": [{"coeff": 1, "exponents": [1, 0]},
+                                       {"coeff": "1/2", "exponents": [0, 1]}]},
+        {"row": 0, "col": 0, "terms": [{"coeff": 2, "exponents": [0, 0]}]},
+        {"row": 0, "col": 1, "terms": [{"coeff": 3, "exponents": [1, 0]},
+                                       {"coeff": "-1/2", "exponents": [0, 1]}]},
+    ]}
+    F = OperatorMatrix.from_json_dict(doc)
+    assert F == OperatorMatrix([[OperatorPoly.constant(2, 2), dx(2, 0, 4),
+                                 OperatorPoly.zero(2)]])
 
 
 def test_json_validation_errors():
