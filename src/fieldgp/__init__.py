@@ -10,7 +10,7 @@ CSV data round out the package.
 """
 
 from .baseline import augment, predict_augmented
-from .checks import ConstraintCheckReport, check_kernel_constraint
+from .checks import check_kernel_constraint
 from .experiments import (ExperimentConfig, FieldErrorTable, RmseReport, RmseRow,
                           emit_report, load_field_csv, parse_rmse_csv,
                           prediction_grid, rmse, run_real_data, run_simulated,
@@ -22,8 +22,7 @@ from .gp import (Dataset, FitResult, GpModel, NotPositiveDefinite, ObservationBl
                  predict)
 from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
                       SumKernel, apply_operator_to_expr, covariance_operator,
-                      kernel_family_from_spec, kernel_from_spec, se_derivative, se_eval,
-                      transform_kernel)
+                      kernel_family_from_spec, se_derivative, se_eval, transform_kernel)
 from .operators import (AnsatzBasis, AnsatzSystem, DimensionMismatch, GammaSolution,
                         NoAnnihilatorFound, OperatorMatrix, OperatorPoly,
                         build_ansatz_system, construct_g, make_curl_operator_3d,

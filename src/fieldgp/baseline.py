@@ -15,7 +15,7 @@ rather than hidden.
 import numpy as np
 
 from .gp import ObservationBlock, fit_gp, predict
-from .kernels import MatrixKernelExpr, apply_operator_to_expr
+from .kernels import apply_operator_to_expr
 
 
 def augment(data, F, points, kernel):
@@ -34,8 +34,6 @@ def augment(data, F, points, kernel):
     carry no noise; conditioning issues are handled by the jitter schedule
     of :func:`fieldgp.gp.cholesky_jitter` and the jitter used is recorded.
     """
-    if not isinstance(kernel, MatrixKernelExpr):
-        raise TypeError("augment needs an explicit MatrixKernelExpr kernel")
     if F.cols != data.out_dim:
         raise ValueError(
             f"F has {F.cols} columns but the field has {data.out_dim} components")

@@ -82,29 +82,6 @@ def se_eval(x, x2, theta):
 # matrix-valued kernels
 
 
-class MatrixKernel:
-    """Base of the matrix kernels: a (rows, cols) shape and pairwise evaluation.
-
-    Subclasses provide ``eval_pairwise(X, X2)`` in the point-major block
-    layout (N1, rows, N2, cols) and a ``theta``.
-    """
-
-    shape = None  # (rows, cols)
-    theta = None
-
-    @property
-    def out_dim(self):
-        r, c = self.shape
-        if r != c:
-            raise ValueError("kernel is not square")
-        return r
-
-    def eval(self, x, x2):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-        return self.eval_pairwise(x, x2)[0, :, 0, :]
-
-
 #: Point pairs per evaluation block, so that the block's dozen or so
 #: temporaries stay in a core's L2 cache.
 _BLOCK_PAIRS = 1 << 14
@@ -118,6 +95,8 @@ def _compile(operator, theta):
     (dimension, order) pairs, so with u = (x - x')/l the entry is
     sum coeff * prod_{(d, n) in gamma} He_n(u_d) * exp(-|u|^2/2); source is
     an earlier entry with identical terms, whose values are copied, or None.
+    Every coefficient must be a normal float: one that under- or overflows
+    in the fold would evaluate the wrong kernel.
     """
     sv, ell = theta.signal_variance, theta.length_scale
     plan, first, orders = [], {}, {}
@@ -127,6 +106,9 @@ def _compile(operator, theta):
                 (tuple((d, n) for d, n in enumerate(mono) if n),
                  float(-c if sum(mono) % 2 else c) * sv * ell ** -sum(mono))
                 for mono, c in poly.terms.items()))
+            if not all(np.finfo(float).tiny <= abs(coeff) < np.inf for _, coeff in terms):
+                raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put an "
+                                 "operator coefficient outside the normal float range")
             if terms:
                 source = first.setdefault(terms, (i, j))
                 plan.append((i, j, None if source == (i, j) else source, terms))
@@ -161,8 +143,8 @@ def _eval_block(plan, orders, ell, X, X2, out):
         np.multiply(value, k, out=out[:, i, :, j])
 
 
-class MatrixKernelExpr(MatrixKernel):
-    """An operator matrix in d/dr applied to one SE kernel.
+class MatrixKernelExpr:
+    """An operator matrix in d/dr applied to one SE kernel: the one kernel type.
 
     Entry (i, j) is ``operator.entry(i, j)`` applied to k; the operator
     stays symbolic, so further operators compose with it and an identity
@@ -185,6 +167,12 @@ class MatrixKernelExpr(MatrixKernel):
 
     def is_zero(self):
         return self.operator.is_zero()
+
+    def eval(self, x, x2):
+        """The (rows, cols) kernel matrix at one pair of points."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x2 = np.atleast_2d(np.asarray(x2, dtype=float))
+        return self.eval_pairwise(x, x2)[0, :, 0, :]
 
     def eval_pairwise(self, X, X2):
         """Kernel matrices of every pair of rows of X (N1, D) and X2 (N2, D).
@@ -245,8 +233,6 @@ def identity_factor(kernel):
     k is the 1 x 1 diagonal kernel at the same theta and input dimension,
     so a profiler wrapping that family's ``eval_pairwise`` still times it.
     """
-    if not isinstance(kernel, MatrixKernelExpr):
-        return None
     rows = kernel.shape[0]
     if kernel.operator != identity_operator(rows, kernel.operator.vars):
         return None
@@ -276,27 +262,29 @@ class CurlFreeKernel(MatrixKernelExpr):
     eval_pairwise = MatrixKernelExpr.eval_pairwise
 
 
-class SumKernel(MatrixKernel):
-    """Elementwise sum of same-shape matrix kernels.
+class SumKernel(MatrixKernelExpr):
+    """Entrywise sum of same-shape kernels at one theta: the sum of their operators.
 
-    No pipeline builds one.  It stays because ``perfbench/spans.py`` wraps
-    its ``eval_pairwise`` by name; drop it with the next benchmark change.
+    No pipeline builds one.  The class stays because ``perfbench/spans.py``
+    wraps its ``eval_pairwise`` by class; drop it with the next benchmark
+    change.
     """
 
     def __init__(self, parts):
         if not parts:
             raise ValueError("need at least one kernel")
-        if len({k.shape for k in parts}) != 1:
-            raise DimensionMismatch("summands must share one shape")
-        self.parts = tuple(parts)
-        self.shape = parts[0].shape
-        self.theta = parts[0].theta
+        if len({(k.shape, k.in_dim) for k in parts}) != 1:
+            raise DimensionMismatch("summands must share one shape and input dimension")
+        if len({k.theta for k in parts}) != 1:
+            raise ValueError("summands must share one theta")
+        entries = parts[0].operator.entries
+        for k in parts[1:]:
+            entries = [[p + q for p, q in zip(row, k_row)]
+                       for row, k_row in zip(entries, k.operator.entries)]
+        super().__init__(OperatorMatrix(entries), parts[0].theta)
+        self.in_dim = parts[0].in_dim
 
-    def eval_pairwise(self, X, X2):
-        out = self.parts[0].eval_pairwise(X, X2)
-        for part in self.parts[1:]:
-            out = out + part.eval_pairwise(X, X2)
-        return out
+    eval_pairwise = MatrixKernelExpr.eval_pairwise
 
 
 def covariance_operator(G):
@@ -331,8 +319,6 @@ def apply_operator_to_expr(F, expr, side):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if not isinstance(expr, MatrixKernelExpr):
-        raise TypeError("expr must be a MatrixKernelExpr")
     if side == "left":
         return MatrixKernelExpr(symbolic_product(F, expr.operator), expr.theta)
     return MatrixKernelExpr(symbolic_product(expr.operator, _adjoint(F)), expr.theta)
@@ -380,12 +366,6 @@ def kernel_family_from_spec(spec, default_out_dim=None):
         P = covariance_operator(G)
         return (lambda th: MatrixKernelExpr(P, th)), theta
     raise ValueError(f"unknown kernel type {kind!r}")
-
-
-def kernel_from_spec(spec, default_out_dim=None):
-    """The kernel a JSON spec describes, at the spec's hyperparameters."""
-    family, theta = kernel_family_from_spec(spec, default_out_dim)
-    return family(theta)
 
 
 def _spec_int(spec, key, default):

@@ -9,7 +9,7 @@ layout these implementations returned.
 
 import numpy as np
 
-from fieldgp.kernels import CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SumKernel
+from fieldgp.kernels import CurlFreeKernel, DiagonalKernel, MatrixKernelExpr
 
 
 def hermite_batch(n, u):
@@ -74,11 +74,6 @@ def term_loop(expr, X, X2):
 
 def reference_pairwise(kernel, X, X2):
     """Kernel values in the (N1, N2, rows, cols) layout, computed the old way."""
-    if isinstance(kernel, SumKernel):
-        out = reference_pairwise(kernel.parts[0], X, X2)
-        for part in kernel.parts[1:]:
-            out = out + reference_pairwise(part, X, X2)
-        return out
     if isinstance(kernel, CurlFreeKernel):
         return curl_free_closed_form(kernel.theta, X, X2)
     if isinstance(kernel, DiagonalKernel):

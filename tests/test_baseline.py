@@ -7,8 +7,8 @@ from fieldgp.baseline import augment, predict_augmented
 from fieldgp.experiments import simulated_field
 from fieldgp.gp import (Dataset, cross_gram, fit_gp, log_marginal_likelihood,
                         predict)
-from fieldgp.kernels import (DiagonalKernel, SeHyperparams, SumKernel,
-                             apply_operator_to_expr, transform_kernel)
+from fieldgp.kernels import (DiagonalKernel, SeHyperparams, apply_operator_to_expr,
+                             transform_kernel)
 from fieldgp.operators import (DimensionMismatch, OperatorMatrix, OperatorPoly,
                                construct_g, make_divergence_operator)
 
@@ -149,9 +149,6 @@ def test_problem_size_grows_linearly():
 def test_augment_input_validation(rng):
     data = Dataset(rng.uniform(0, 1, (4, 2)), rng.standard_normal((4, 2)), 0.1)
     div = make_divergence_operator(2)
-    summed = SumKernel([DiagonalKernel(THETA, 2, in_dim=2)] * 2)
-    with pytest.raises(TypeError):
-        augment(data, div, np.zeros((2, 2)), summed)  # not an expression kernel
     with pytest.raises(DimensionMismatch):
         augment(data, div, np.zeros((2, 2)), DiagonalKernel(THETA, 2))  # no in_dim
     with pytest.raises(ValueError):

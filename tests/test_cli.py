@@ -119,20 +119,51 @@ def test_check_kernel_zero_samples_vacuous(div_spec, capsys):
     assert "vacuous" in capsys.readouterr().err
 
 
+# a gradient G, which does not annihilate the divergence
+_GRAD_2D = {"vars": 2, "rows": 2, "cols": 1, "entries": [
+    {"row": i, "col": 0, "terms": [{"coeff": 1, "exponents": [int(i == 0), int(i == 1)]}]}
+    for i in range(2)]}
+
+
 @pytest.mark.parametrize("samples", ["-1", "-5"])
 def test_check_kernel_negative_samples_exit_1(tmp_path, div_spec, capsys, samples):
-    # a gradient G does not annihilate the divergence: no sample count may pass it
-    grad = {"vars": 2, "rows": 2, "cols": 1, "entries": [
-        {"row": i, "col": 0, "terms": [{"coeff": 1, "exponents": [int(i == 0), int(i == 1)]}]}
-        for i in range(2)]}
+    # no sample count may pass the gradient G
     argv = ["check-kernel", "--f-spec", div_spec,
-            "--g-spec", write_json(tmp_path / "grad.json", grad)]
+            "--g-spec", write_json(tmp_path / "grad.json", _GRAD_2D)]
     assert main(argv + ["--samples", "3"]) == 1
     capsys.readouterr()
     assert main(argv + ["--samples", samples]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"fieldgp: error: n_samples must be >= 1, not {samples}")
+
+
+@pytest.mark.parametrize("theta", [
+    ["--length-scale", "1e200"],                                # sv l^-2 underflows to 0
+    ["--signal-variance", "1e-320"],                            # subnormal coefficients
+    ["--signal-variance", "1e300", "--length-scale", "1e-5"],   # sv l^-2 overflows
+], ids=["underflow", "subnormal", "overflow"])
+def test_check_kernel_coefficient_out_of_range_exit_1(tmp_path, div_spec, capsys, theta):
+    # a kernel whose folded coefficients left the normal floats would pass
+    # the gradient G with a violation of 0 or nearly 0
+    argv = ["check-kernel", "--f-spec", div_spec, "--samples", "3",
+            "--g-spec", write_json(tmp_path / "grad.json", _GRAD_2D)]
+    assert main(argv + theta) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fieldgp: error: signal_variance ")
+    assert "outside the normal float range" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_check_kernel_overflowing_kernel_fails(tmp_path, div_spec, capsys):
+    # the coefficients are normal floats, but sv He_2(u) overflows to inf and
+    # the finite differences to nan, which must not read as no violation
+    argv = ["check-kernel", "--f-spec", div_spec, "--samples", "3",
+            "--g-spec", write_json(tmp_path / "grad.json", _GRAD_2D),
+            "--signal-variance", "1e308"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("max relative violation: nan over 3 samples")
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,15 @@ def test_pipeline_counts_failures(monkeypatch, tmp_path, pipeline):
     assert report.rows[0].n_ok == config.repetitions - 1
 
 
+def test_run_simulated_zero_noise():
+    # noise-free observations: every fit and prediction still succeeds
+    report = run_simulated(ExperimentConfig(**{**TINY_SIM, "noise_std": 0.0}))
+    assert [(r.method, r.nc) for r in report.rows] == [
+        ("diagonal", 0), ("constrained", 0), ("artificial", 0), ("artificial", 5)]
+    assert all(r.n_ok == TINY_SIM["repetitions"] and np.isfinite(r.mean)
+               for r in report.rows)
+
+
 def test_run_simulated_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         run_simulated(ExperimentConfig(**{**TINY_SIM, "methods": ("kriging",)}))
@@ -297,6 +306,20 @@ def test_run_real_data_tiny(tmp_path):
     assert report.field_error is None
     again = run_real_data(config, path)
     assert again.rows == report.rows
+
+
+def test_run_real_data_zero_noise(tmp_path):
+    X, B = synthetic_curl_free_field(70, seed=29, noise_std=0.0)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, X, B)
+    config = ExperimentConfig(
+        methods=("diagonal", "curl_free", "artificial"), nc_schedule=(10,),
+        train_size=30, test_size=40, repetitions=2, restarts=1, maxiter=20,
+        noise_std=0.0, seed=2)
+    report = run_real_data(config, path)
+    assert [(r.method, r.nc) for r in report.rows] == [
+        ("diagonal", 0), ("curl_free", 0), ("artificial", 10)]
+    assert all(r.n_ok == 2 and np.isfinite(r.mean) for r in report.rows)
 
 
 def test_run_real_data_split_sizes_enforced(tmp_path):

@@ -21,8 +21,10 @@ from fieldgp.gp import (
     log_marginal_likelihood,
     predict,
 )
-from fieldgp.kernels import CurlFreeKernel, DiagonalKernel, SeHyperparams, transform_kernel
-from fieldgp.operators import construct_g, make_curl_operator_3d, make_divergence_operator
+from fieldgp.kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
+                             transform_kernel)
+from fieldgp.operators import (OperatorMatrix, OperatorPoly, construct_g, make_curl_operator_3d,
+                               make_divergence_operator)
 
 from conftest import fd_divergence
 
@@ -243,18 +245,12 @@ def test_fit_deterministic_given_seed(rng):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_fit_all_restarts_fail(rng):
-    class BrokenKernel:
-        shape = (1, 1)
-        theta = THETA
-
-        def eval_pairwise(self, X, X2):
-            # negative definite blocks: factorization can never succeed
-            k = -np.exp(-((X[:, None, :] - X2[None, :, :]) ** 2).sum(-1))
-            return k[:, None, :, None]
-
+    # -1 applied to k: negative definite blocks, so factorization can never
+    # succeed (the identity would take the Kronecker path, at +k)
+    minus_one = OperatorMatrix([[OperatorPoly.constant(2, -1)]])
     data = Dataset(rng.uniform(0, 1, (6, 2)), rng.standard_normal((6, 1)), 0.0)
     with pytest.raises(RuntimeError, match="every restart"):
-        fit_hyperparameters(data, lambda th: BrokenKernel(),
+        fit_hyperparameters(data, lambda th: MatrixKernelExpr(minus_one, th),
                             SeHyperparams(1.0, 1.0, 0.0),
                             OptConfig(restarts=2, maxiter=10, seed=0))
 

@@ -47,18 +47,16 @@ def reference_assemble_gram(kernel, X, noise_variance):
 def _families():
     G2, _ = construct_g(make_divergence_operator(2))
     G3, _ = construct_g(make_divergence_operator(3))
-    column_thetas = [SeHyperparams(0.4, 2.1), SeHyperparams(1.1, 0.2),
-                     SeHyperparams(2.0, 0.9)]
     families = {
         "div2d": (2, transform_kernel(G2, THETA)),
         "div3d": (3, transform_kernel(G3, THETA)),
         "curl_free": (3, CurlFreeKernel(THETA)),
         "diagonal2d": (2, DiagonalKernel(THETA, 2)),
         "diagonal3d": (3, DiagonalKernel(THETA, 3)),
-        # one prior per potential component: a sum of single-column kernels
+        # the sum of the single-column kernels of G3, at one theta
         "per_column_sum": (3, SumKernel([
-            transform_kernel(OperatorMatrix([[G3.entry(j, c)] for j in range(3)]), th)
-            for c, th in enumerate(column_thetas)])),
+            transform_kernel(OperatorMatrix([[G3.entry(j, c)] for j in range(3)]), THETA)
+            for c in range(G3.cols)])),
     }
     # the cov(f, F[f]) and cov(F[f], F[f]) expressions baseline.augment builds
     for name, F, dim in (("div2d", make_divergence_operator(2), 2),

@@ -16,8 +16,9 @@ from fieldgp.kernels import (
     SeHyperparams,
     SumKernel,
     apply_operator_to_expr,
+    covariance_operator,
     identity_factor,
-    kernel_from_spec,
+    kernel_family_from_spec,
     se_derivative,
     se_eval,
     transform_kernel,
@@ -333,6 +334,29 @@ def test_identity_factor_is_keyed_on_the_operator():
         assert identity_factor(kernel) is None
 
 
+def test_sum_kernel_is_the_operator_sum(rng):
+    # the per-column kernels of the div-3D G sum to its covariance operator,
+    # evaluate bitwise as transform_kernel does, and compose with operators
+    div3 = make_divergence_operator(3)
+    G3, _ = construct_g(div3)
+    column_ops = [OperatorMatrix([[G3.entry(j, c)] for j in range(3)]) for c in range(G3.cols)]
+    summed = SumKernel([transform_kernel(col, THETA) for col in column_ops])
+    assert summed.operator == covariance_operator(G3)
+    assert (summed.shape, summed.theta, summed.in_dim) == ((3, 3), THETA, 3)
+    X, X2 = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+    a = summed.eval_pairwise(X, X2)
+    b = transform_kernel(G3, THETA).eval_pairwise(X, X2)
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert apply_operator_to_expr(div3, summed, "left").is_zero()
+    other = SeHyperparams(signal_variance=0.4, length_scale=2.5)
+    for parts in ([],
+                  [transform_kernel(column_ops[0], THETA), transform_kernel(column_ops[1], other)],
+                  [DiagonalKernel(THETA, 2), DiagonalKernel(THETA, 3)],
+                  [DiagonalKernel(THETA, 2), DiagonalKernel(THETA, 2, in_dim=2)]):
+        with pytest.raises(ValueError):
+            SumKernel(parts)
+
+
 def test_diagonal_kernel_without_in_dim_takes_no_operator():
     # its identity is over one variable, whatever dimension it evaluates at
     for F in (make_divergence_operator(2), make_curl_operator_3d()):
@@ -482,26 +506,31 @@ def test_gram_psd_before_jitter(kernel_factory, rng):
 # kernel specs
 
 
+def _kernel_from_spec(spec):
+    family, theta = kernel_family_from_spec(spec)
+    return family(theta)
+
+
 def test_kernel_from_spec_variants():
     hyper = dataclasses.asdict(THETA)
-    diag = kernel_from_spec({"type": "diagonal", "out_dim": 2, "hyperparams": hyper})
+    diag = _kernel_from_spec({"type": "diagonal", "out_dim": 2, "hyperparams": hyper})
     assert isinstance(diag, DiagonalKernel) and diag.shape == (2, 2)
-    curl = kernel_from_spec({"type": "curl_free_3d", "hyperparams": hyper})
+    curl = _kernel_from_spec({"type": "curl_free_3d", "hyperparams": hyper})
     assert isinstance(curl, CurlFreeKernel)
     f_spec = make_divergence_operator(2).to_json_dict()
-    trans = kernel_from_spec({"type": "transformed", "g_operator": "auto-from-F",
-                              "f_operator": f_spec, "hyperparams": hyper})
+    trans = _kernel_from_spec({"type": "transformed", "g_operator": "auto-from-F",
+                               "f_operator": f_spec, "hyperparams": hyper})
     assert isinstance(trans, MatrixKernelExpr) and trans.shape == (2, 2)
-    explicit = kernel_from_spec({
+    explicit = _kernel_from_spec({
         "type": "transformed",
         "g_operator": construct_g(make_divergence_operator(2))[0].to_json_dict(),
         "hyperparams": hyper})
     assert explicit.entries == trans.entries
     with pytest.raises(ValueError):
-        kernel_from_spec({"type": "mystery", "hyperparams": hyper})
+        _kernel_from_spec({"type": "mystery", "hyperparams": hyper})
     with pytest.raises(ValueError):
-        kernel_from_spec({"type": "transformed", "hyperparams": hyper,
-                          "g_operator": "auto-from-F"})
+        _kernel_from_spec({"type": "transformed", "hyperparams": hyper,
+                           "g_operator": "auto-from-F"})
 
 
 # ---------------------------------------------------------------------------
