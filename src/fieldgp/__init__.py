@@ -10,7 +10,6 @@ CSV data round out the package.
 """
 
 from .baseline import augment, predict_augmented
-from .checks import check_kernel_constraint
 from .experiments import (ExperimentConfig, FieldErrorTable, RmseReport, RmseRow,
                           emit_report, load_field_csv, parse_rmse_csv,
                           prediction_grid, rmse, run_real_data, run_simulated,

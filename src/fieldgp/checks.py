@@ -1,9 +1,11 @@
-"""Numerical verification that a kernel obeys an operator constraint.
+"""Finite-difference application of an operator matrix to a function.
 
-Applies an operator matrix to the first argument of a matrix kernel by
-nested central finite differences and reports the largest violation
-relative to the kernel's own scale.  Useful as a sanity gate for
-hand-written G matrices and as the engine behind ``fieldgp check-kernel``.
+A numerical oracle, independent of the symbolic operator algebra: the
+tests check kernels and posterior means against it.  It stays in the
+package because the benchmark's output check (``perfbench/verify.py``)
+imports ``fd_apply_operator`` to measure the constraint residual of each
+posterior mean.  ``fieldgp check-kernel`` does not use it: it decides
+F G = 0 exactly.
 """
 
 import numpy as np
@@ -52,35 +54,3 @@ def fd_apply_operator(F, vector_func, x, h):
             acc = np.zeros_like(np.asarray(vector_func(x))[0])
         rows.append(acc)
     return np.array(rows)
-
-
-#: Finite-difference step and the half-width of the sampling box, in length scales.
-FD_STEP = 1e-4
-SAMPLE_BOX = 2.0
-
-
-def check_kernel_constraint(F, kernel, n_samples=100, seed=0):
-    """Check F applied to the first argument of a kernel at random pairs.
-
-    For each sampled pair (x, x2), every column of K(., x2) is pushed
-    through F with finite differences; for a constraint-respecting
-    kernel the result is analytically zero.  Returns the largest violation
-    relative to the largest kernel entry seen, or nan when a value overflowed.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, not {n_samples}")
-    if F.cols != kernel.shape[0]:
-        raise ValueError("operator columns must match the kernel output dimension")
-    rng = np.random.default_rng(seed)
-    ell = kernel.theta.length_scale
-    h = FD_STEP * ell
-    max_abs = scale = 0.0
-    for _ in range(n_samples):
-        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=F.vars) * ell
-        x2 = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=F.vars) * ell
-        # np.max, unlike max, keeps the nan of a kernel that overflowed
-        scale = np.max([scale, np.abs(kernel.eval(x, x2)).max(),
-                        np.abs(kernel.eval(x2, x2)).max()])
-        applied = fd_apply_operator(F, lambda p: kernel.eval(p, x2), x, h)
-        max_abs = np.max([max_abs, np.abs(applied).max()])
-    return float(max_abs / max(scale, 1e-300))

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``construct-g`` builds an annihilating operator from an
-operator spec, ``check-kernel`` verifies a kernel against a constraint
-with finite differences, ``sim-experiment`` and ``real-experiment`` run
+operator spec, ``check-kernel`` decides exactly whether G annihilates a
+constraint F (F G = 0), ``sim-experiment`` and ``real-experiment`` run
 the benchmark pipelines, and ``predict`` fits a GP on CSV data and
 evaluates it at new points.
 
-Exit codes are a stable contract: 0 success, 1 usage or parse errors,
-2 when no annihilating operator exists within the degree budget.  Log
-verbosity is controlled by the FIELDGP_LOG environment variable.
+Exit codes are a stable contract: 0 success, 1 usage or parse errors and
+F G != 0, 2 when no annihilating operator exists within the degree
+budget.  Log verbosity is controlled by the FIELDGP_LOG environment variable.
 """
 
 import argparse
@@ -19,12 +19,11 @@ import sys
 
 import numpy as np
 
-from .checks import check_kernel_constraint
 from .experiments import (ExperimentConfig, emit_report, load_field_csv,
                           read_csv_columns, run_real_data, run_simulated)
 from .gp import Dataset, OptConfig, fit_gp, fit_hyperparameters, predict
-from .kernels import SeHyperparams, kernel_family_from_spec, transform_kernel
-from .operators import NoAnnihilatorFound, OperatorMatrix, construct_g
+from .kernels import kernel_family_from_spec
+from .operators import NoAnnihilatorFound, OperatorMatrix, construct_g, symbolic_product
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,16 +52,10 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output path for the G spec")
 
     p = sub.add_parser("check-kernel",
-                       help="finite-difference constraint check of a kernel")
-    p.add_argument("--f-spec", required=True)
+                       help="decide exactly whether G annihilates F (F G = 0)")
+    p.add_argument("--f-spec", required=True, help="constraint operator JSON spec")
     p.add_argument("--g-spec", default="auto",
                    help="operator spec for G, or 'auto' to construct it from F")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5,
-                   help="maximum allowed relative violation")
-    p.add_argument("--signal-variance", type=float, default=1.0)
-    p.add_argument("--length-scale", type=float, default=1.0)
 
     p = sub.add_parser("sim-experiment", help="run the simulated benchmark")
     p.add_argument("--config", required=True)
@@ -114,17 +107,14 @@ def _cmd_check_kernel(args):
         G, _ = construct_g(F)
     else:
         G = OperatorMatrix.from_json_dict(_load_json(args.g_spec))
-    theta = SeHyperparams(signal_variance=args.signal_variance,
-                          length_scale=args.length_scale)
-    kernel = transform_kernel(G, theta)
-    if args.samples == 0:
-        print("warning: samples=0, check is vacuous", file=sys.stderr)
-        print("max relative violation: n/a (0 samples)")
+    # F G = 0 holds exactly when F G adj(G) = 0: the kernel obeys F at every theta
+    residual = symbolic_product(F, G)
+    if residual.is_zero():
+        print("F G = 0: every f = G[g] satisfies F f = 0")
         return EXIT_OK
-    violation = check_kernel_constraint(F, kernel, n_samples=args.samples, seed=args.seed)
-    print(f"max relative violation: {violation:.3e} "
-          f"over {args.samples} samples (tol {args.tol:g})")
-    return EXIT_OK if violation <= args.tol else EXIT_USAGE
+    print("F G != 0:")
+    print(residual.render())
+    return EXIT_USAGE
 
 
 def _cmd_sim_experiment(args):

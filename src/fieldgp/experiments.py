@@ -74,10 +74,12 @@ class ExperimentConfig:
                 isinstance(b, lists) and len(b) == 2 and all(map(_is_number, b))
                 for b in self.domain)):
             raise ValueError(f"domain must be a list of [low, high] pairs, not {self.domain!r}")
-        if not (isinstance(self.nc_schedule, lists) and all(map(_is_int, self.nc_schedule))):
-            raise ValueError(f"nc_schedule must be a list of integers, not {self.nc_schedule!r}")
-        if not (isinstance(self.methods, lists) and all(isinstance(m, str) for m in self.methods)):
-            raise ValueError(f"methods must be a list of method names, not {self.methods!r}")
+        for name, valid, what in (("nc_schedule", _is_int, "integers"),
+                                  ("methods", lambda m: isinstance(m, str), "method names")):
+            value = getattr(self, name)
+            if not (isinstance(value, lists) and all(map(valid, value))
+                    and len(set(value)) == len(value)):
+                raise ValueError(f"{name} must be a list of distinct {what}, not {value!r}")
         self.domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         self.nc_schedule = tuple(int(n) for n in self.nc_schedule)
         self.methods = tuple(self.methods)

@@ -341,8 +341,9 @@ def kernel_family_from_spec(spec, default_out_dim=None):
     ``{"type": "diagonal"|"curl_free_3d"|"transformed", "hyperparams": {...}}``
     with ``"out_dim"``/``"in_dim"`` for diagonal kernels and
     ``"g_operator"`` (an operator spec, or "auto-from-F" together with
-    ``"f_operator"``) for transformed kernels.  ``family(theta)`` is the
-    kernel; G and G adj(G) are built once, here, not per fit evaluation.
+    ``"f_operator"``) for transformed kernels; an explicit G given with an
+    F must satisfy F G = 0 exactly.  ``family(theta)`` is the kernel; G and
+    G adj(G) are built once, here, not per fit evaluation.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"kernel spec must be an object, not {type(spec).__name__}")
@@ -363,6 +364,12 @@ def kernel_family_from_spec(spec, default_out_dim=None):
             G, _ = construct_g(F, max_degree=_spec_int(spec, "max_degree", 3))
         else:
             G = OperatorMatrix.from_json_dict(g_spec)
+            if "f_operator" in spec:
+                residual = symbolic_product(
+                    OperatorMatrix.from_json_dict(spec["f_operator"]), G)
+                if not residual.is_zero():
+                    raise ValueError("g_operator does not annihilate f_operator; "
+                                     f"F G =\n{residual.render()}")
         P = covariance_operator(G)
         return (lambda th: MatrixKernelExpr(P, th)), theta
     raise ValueError(f"unknown kernel type {kind!r}")

@@ -97,26 +97,19 @@ def test_construct_g_missing_file(tmp_path, capsys):
 # check-kernel
 
 
-def test_check_kernel_auto_passes(div_spec, capsys):
-    code = main(["check-kernel", "--f-spec", div_spec, "--samples", "25"])
-    assert code == 0
-    assert "max relative violation" in capsys.readouterr().out
+def test_check_kernel_auto_passes(tmp_path, capsys):
+    for name, F in (("div2", make_divergence_operator(2)), ("div3", make_divergence_operator(3)),
+                    ("curl", make_curl_operator_3d())):
+        spec = write_json(tmp_path / f"{name}.json", F.to_json_dict())
+        assert main(["check-kernel", "--f-spec", spec]) == 0
+        assert capsys.readouterr() == ("F G = 0: every f = G[g] satisfies F f = 0\n", "")
 
 
 def test_check_kernel_diagonal_fails(tmp_path, div_spec, capsys):
     # identity G gives the diagonal kernel, which violates the constraint
-    code = main(["check-kernel", "--f-spec", div_spec,
-                 "--g-spec", identity_spec(tmp_path), "--samples", "25"])
+    code = main(["check-kernel", "--f-spec", div_spec, "--g-spec", identity_spec(tmp_path)])
     assert code == 1
-    out = capsys.readouterr().out
-    violation = float(out.split("violation:")[1].split()[0])
-    assert violation > 1e-3
-
-
-def test_check_kernel_zero_samples_vacuous(div_spec, capsys):
-    code = main(["check-kernel", "--f-spec", div_spec, "--samples", "0"])
-    assert code == 0
-    assert "vacuous" in capsys.readouterr().err
+    assert capsys.readouterr() == ("F G != 0:\n[ d/dx1   d/dx2 ]\n", "")
 
 
 # a gradient G, which does not annihilate the divergence
@@ -125,45 +118,18 @@ _GRAD_2D = {"vars": 2, "rows": 2, "cols": 1, "entries": [
     for i in range(2)]}
 
 
-@pytest.mark.parametrize("samples", ["-1", "-5"])
-def test_check_kernel_negative_samples_exit_1(tmp_path, div_spec, capsys, samples):
-    # no sample count may pass the gradient G
-    argv = ["check-kernel", "--f-spec", div_spec,
+def test_check_kernel_gradient_residual(tmp_path, div_spec):
+    # the verdict is F G itself, exact and free of theta: the Laplacian
+    argv = [sys.executable, "-m", "fieldgp.cli", "check-kernel", "--f-spec", div_spec,
             "--g-spec", write_json(tmp_path / "grad.json", _GRAD_2D)]
-    assert main(argv + ["--samples", "3"]) == 1
-    capsys.readouterr()
-    assert main(argv + ["--samples", samples]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"fieldgp: error: n_samples must be >= 1, not {samples}")
-
-
-@pytest.mark.parametrize("theta", [
-    ["--length-scale", "1e200"],                                # sv l^-2 underflows to 0
-    ["--signal-variance", "1e-320"],                            # subnormal coefficients
-    ["--signal-variance", "1e300", "--length-scale", "1e-5"],   # sv l^-2 overflows
-], ids=["underflow", "subnormal", "overflow"])
-def test_check_kernel_coefficient_out_of_range_exit_1(tmp_path, div_spec, capsys, theta):
-    # a kernel whose folded coefficients left the normal floats would pass
-    # the gradient G with a violation of 0 or nearly 0
-    argv = ["check-kernel", "--f-spec", div_spec, "--samples", "3",
-            "--g-spec", write_json(tmp_path / "grad.json", _GRAD_2D)]
-    assert main(argv + theta) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("fieldgp: error: signal_variance ")
-    assert "outside the normal float range" in captured.err
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_check_kernel_overflowing_kernel_fails(tmp_path, div_spec, capsys):
-    # the coefficients are normal floats, but sv He_2(u) overflows to inf and
-    # the finite differences to nan, which must not read as no violation
-    argv = ["check-kernel", "--f-spec", div_spec, "--samples", "3",
-            "--g-spec", write_json(tmp_path / "grad.json", _GRAD_2D),
-            "--signal-variance", "1e308"]
-    assert main(argv) == 1
-    assert capsys.readouterr().out.startswith("max relative violation: nan over 3 samples")
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "F G != 0:\n[ d2/dx1^2 + d2/dx2^2 ]\n", "")
+    # the sampling and hyperparameter options are gone: a usage error
+    proc = subprocess.run(argv + ["--length-scale", "1e6"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "fieldgp: error: unrecognized arguments: --length-scale 1e6\n"
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +176,7 @@ def test_sim_experiment_bad_config(tmp_path, capsys):
     ("nc_schedule", [4, 2.5]), ("nc_schedule", "4"), ("learn_noise", "yes"),
     ("record_timing", 1), ("methods", "diagonal"), ("methods", ["diagonal", 1]),
     ("domain", [[0, 4], [0, "4"]]),
+    ("nc_schedule", [4, 4]), ("methods", ["diagonal", "diagonal"]),   # duplicate entries
 ])
 def test_sim_experiment_config_wrong_type_exit_1(tmp_path, capsys, key, value):
     config = write_json(tmp_path / "config.json", {**TINY_CONFIG, key: value})
@@ -399,6 +366,8 @@ _DIV_ENTRY = {"row": 0, "col": 0, "terms": [{"coeff": 1, "exponents": [1, 0]}]}
 _HYPER = {"signal_variance": 1.0, "length_scale": 1.0, "noise_variance": 1e-6}
 # none is an integer, though int() would accept 2.5 (as 2) and true (as 1)
 _NOT_INTEGERS = ([1], 2.5, True)
+_IDENTITY_3D = {"vars": 3, "rows": 3, "cols": 3, "entries": [
+    {"row": i, "col": i, "terms": [{"coeff": 1, "exponents": [0, 0, 0]}]} for i in range(3)]}
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -420,11 +389,14 @@ _NOT_INTEGERS = ([1], 2.5, True)
       for value in _NOT_INTEGERS],
     ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e200}}),
     ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e-200}}),
+    ("predict", {"type": "transformed", "f_operator": make_curl_operator_3d().to_json_dict(),
+                 "g_operator": _IDENTITY_3D, "hyperparams": _HYPER}),
 ], ids=["entry_without_row", "term_without_exponents", "entries_not_a_list",
         "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object",
         "out_dim_list", "out_dim_fraction", "out_dim_bool",
         "max_degree_list", "max_degree_fraction", "max_degree_bool",
-        "length_scale_squared_overflows", "length_scale_squared_underflows"])
+        "length_scale_squared_overflows", "length_scale_squared_underflows",
+        "g_operator_not_annihilating"])
 def test_malformed_spec_exit_1(tmp_path, command, doc):
     spec = write_json(tmp_path / "spec.json", doc)
     if command == "construct-g":
@@ -446,6 +418,35 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
             assert f"kernel spec {key!r} must be an integer" in proc.stderr
     if isinstance(doc, dict) and doc.get("hyperparams") == {**_HYPER, "length_scale": 1e-200}:
         assert "length_scale" in proc.stderr
+    if isinstance(doc, dict) and doc.get("g_operator") == _IDENTITY_3D:
+        # the residual F G is the curl itself
+        assert proc.stderr.endswith(f"F G =\n{make_curl_operator_3d().render()}\n")
+
+
+@pytest.mark.parametrize("theta", [
+    {"length_scale": 1e200},                             # sv l^-2 underflows to 0
+    {"signal_variance": 1e-320},                         # subnormal coefficients
+    {"signal_variance": 1e300, "length_scale": 1e-5},    # sv l^-2 overflows
+], ids=["underflow", "subnormal", "overflow"])
+def test_predict_coefficient_out_of_range_exit_1(tmp_path, capsys, theta):
+    # a kernel whose folded coefficients left the normal floats would be
+    # zero, or nearly so, and predict a mean of 0 with no error
+    X, B = synthetic_curl_free_field(10, seed=4)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    spec = write_json(tmp_path / "kernel.json", {
+        "type": "transformed", "g_operator": "auto-from-F",
+        "f_operator": make_curl_operator_3d().to_json_dict(),
+        "hyperparams": {**_HYPER, **theta}})
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"),
+                 "--out", str(tmp_path / "pred.csv"), "--no-fit"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fieldgp: error: signal_variance ")
+    assert "outside the normal float range" in captured.err
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def test_predict_auto_from_f_without_annihilator_exit_2(tmp_path, capsys):
@@ -595,6 +596,11 @@ def _operator_specs(draw):
             "entries": draw(st.lists(entry, max_size=3))}
 
 
+# the fuzzers below reach values whose arithmetic overflows by design
+_IGNORE_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered",
+                                              "ignore:invalid value encountered")
+
+
 def _exit_code_without_traceback(argv):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -602,6 +608,15 @@ def _exit_code_without_traceback(argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
     return code
+
+
+def _f_g_oracle(doc):
+    """check-kernel's exit code for the spec as both F and G: 0 iff F F = 0."""
+    try:
+        F = OperatorMatrix.from_json_dict(doc)
+        return 0 if symbolic_product(F, F).is_zero() else 1
+    except ValueError:  # a malformed spec, or shapes that do not multiply
+        return 1
 
 
 @settings(max_examples=40, deadline=None,
@@ -615,9 +630,9 @@ def test_operator_spec_fuzz_exit_codes(doc):
         code = _exit_code_without_traceback(
             ["construct-g", "--f-spec", spec, "--max-degree", "2",
              "--out", str(Path(tmp) / "g.json")])
-        _exit_code_without_traceback(
-            ["check-kernel", "--f-spec", spec, "--samples", "1",
-             "--g-spec", "auto" if code == 0 else spec])
+        checked = _exit_code_without_traceback(
+            ["check-kernel", "--f-spec", spec, "--g-spec", "auto" if code == 0 else spec])
+        assert checked == (0 if code == 0 else _f_g_oracle(doc))
 
 
 # JSON values of every type, kept small so that a valid draw stays fast
@@ -663,6 +678,9 @@ def _kernel_specs(draw):
     return doc
 
 
+# hyperparameters near the float limits overflow inside the kernel evaluator
+# (u = r / l for l ~ 1e-300, sv He_2(u) for sv ~ 1e308); this test checks the exit code
+@_IGNORE_OVERFLOW
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_kernel_specs())
@@ -687,6 +705,8 @@ _FUZZ_BASE_CONFIG = {
 }
 
 
+# a field_param_a of -45 grows the simulated field's envelope past the floats
+@_IGNORE_OVERFLOW
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(f.name for f in fields(ExperimentConfig)) + ["unknown"]),

@@ -25,11 +25,13 @@ from fieldgp.kernels import (
 )
 from fieldgp.operators import (
     DimensionMismatch,
+    NoAnnihilatorFound,
     OperatorMatrix,
     OperatorPoly,
     construct_g,
     make_curl_operator_3d,
     make_divergence_operator,
+    symbolic_product,
 )
 
 from conftest import (fd_operator_rows, mp_diff_se_derivative, mp_se_derivative,
@@ -464,6 +466,38 @@ def test_apply_operator_order_two_constraint_cancels():
     both = apply_operator_to_expr(F, left, side="right")         # order 8
     assert left.is_zero() and both.is_zero()
     assert not apply_operator_to_expr(F, DiagonalKernel(THETA, 2, in_dim=2), "left").is_zero()
+
+
+def _integer_operator(draw, dim, rows, cols):
+    # entries c_0 + sum_d c_d d/dx_d with small integer coefficients, often zero
+    monos = [(0,) * dim] + [tuple(int(e == d) for e in range(dim)) for d in range(dim)]
+    coeff = st.sampled_from((0, 0, 1, -1, 2))
+    return OperatorMatrix([[OperatorPoly(dim, {m: draw(coeff) for m in monos})
+                            for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _operator_pairs(draw):
+    """(F, G) over one dimension with F.cols == G.rows; G annihilates F about half the time."""
+    dim, n = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+    F = _integer_operator(draw, dim, draw(st.integers(1, 2)), n)
+    if draw(st.booleans()):
+        try:
+            G0, _ = construct_g(F, max_degree=1)
+            return F, symbolic_product(G0, _integer_operator(draw, dim, G0.cols, 2))
+        except NoAnnihilatorFound:
+            pass
+    return F, _integer_operator(draw, dim, n, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_operator_pairs(), sv=st.floats(0.1, 10.0), ls=st.floats(0.1, 10.0))
+def test_annihilation_is_decided_by_f_g(pair, sv, ls):
+    # F G = 0 exactly when F G adj(G) = 0, at every theta: if F G adj(G)
+    # vanishes, so does (F G)(F G)^H at every i xi, hence F G itself
+    F, G = pair
+    kernel = transform_kernel(G, SeHyperparams(sv, ls))
+    assert symbolic_product(F, G).is_zero() == apply_operator_to_expr(F, kernel, "left").is_zero()
 
 
 def test_order_six_expression_matches_mpmath(rng):
