@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mapping a curl-free 3-D field (magnetic-field style) from point samples.
 
-Magnetostatics makes the field curl-free, which pins the covariance to
-the closed-form curl-free kernel.  We use a synthetic stand-in dataset
+Magnetostatics makes the field curl-free.  The curl alone yields the
+covariance: its annihilator G is the gradient, and G's kernel family is
+the closed-form curl-free kernel, with the field's signal variance.  We use a synthetic stand-in dataset
 (gradient of a random smooth potential plus noise), compare against the
 diagonal kernel on held-out points, and write the predicted field
 magnitude over horizontal slices to CSV for plotting.
@@ -13,13 +14,15 @@ import csv
 import numpy as np
 
 from fieldgp import (
-    CurlFreeKernel,
     Dataset,
     DiagonalKernel,
     OptConfig,
     SeHyperparams,
+    construct_g,
+    field_family,
     fit_gp,
     fit_hyperparameters,
+    make_curl_operator_3d,
     predict,
     rmse,
     synthetic_curl_free_field,
@@ -38,8 +41,9 @@ model_d = fit_gp(data, DiagonalKernel(fit_d.theta, 3),
                  noise_variance=fit_d.theta.noise_variance)
 rmse_d = rmse(predict(model_d, X[test]).means, B[test])
 
-fit_c = fit_hyperparameters(data, CurlFreeKernel, init, opt)
-model_c = fit_gp(data, CurlFreeKernel(fit_c.theta),
+curl_free = field_family(construct_g(make_curl_operator_3d())[0])
+fit_c = fit_hyperparameters(data, curl_free, init, opt)
+model_c = fit_gp(data, curl_free(fit_c.theta),
                  noise_variance=fit_c.theta.noise_variance)
 rmse_c = rmse(predict(model_c, X[test]).means, B[test])
 

@@ -20,7 +20,7 @@ from .gp import (Dataset, FitResult, GpModel, NotPositiveDefinite, ObservationBl
                  cross_gram, fit_gp, fit_hyperparameters, log_marginal_likelihood,
                  predict)
 from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
-                      SumKernel, apply_operator_to_expr, covariance_operator,
+                      SumKernel, apply_operator_to_expr, covariance_operator, field_family,
                       kernel_family_from_spec, se_derivative, se_eval, transform_kernel)
 from .operators import (AnsatzBasis, AnsatzSystem, DimensionMismatch, GammaSolution,
                         NoAnnihilatorFound, OperatorMatrix, OperatorPoly,

@@ -12,6 +12,7 @@ budget.  Log verbosity is controlled by the FIELDGP_LOG environment variable.
 """
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -176,11 +177,9 @@ def _cmd_predict(args):
 
 
 def _write_predictions(path, points, result):
-    import csv as _csv
-
     k = result.means.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(points.shape[1])]
                         + [f"mean_b{c + 1}" for c in range(k)]
                         + [f"var_b{c + 1}" for c in range(k)])
@@ -213,7 +212,7 @@ def main(argv=None):
         print(f"fieldgp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:
-        # e.g. the squared length scale of a curl-free spec
+        # e.g. a JSON integer too large for a float
         print(f"fieldgp: error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from .baseline import augment, predict_augmented
 from .gp import Dataset, NotPositiveDefinite, OptConfig, fit_gp, fit_hyperparameters, predict
-from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
-                      covariance_operator)
+from .kernels import CurlFreeKernel, DiagonalKernel, SeHyperparams, field_family
 from .operators import construct_g, make_curl_operator_3d, make_divergence_operator
 
 logger = logging.getLogger(__name__)
@@ -172,33 +171,20 @@ def rmse(predicted, truth):
     return float(np.sqrt(diff @ diff / truth.shape[0]))
 
 
-def _init_theta(data, noise_variance, derivative_kernel=False):
-    span = float(np.max(np.ptp(data.inputs, axis=0))) or 1.0
-    ls = 0.3 * span
-    sv = max(float(np.var(data.outputs)), 1e-10)
-    if derivative_kernel:
-        # field variance of a derivative-transformed prior scales like sv/ls^2
-        sv = sv * ls ** 2
-    return SeHyperparams(signal_variance=sv, length_scale=ls,
-                         noise_variance=noise_variance)
-
-
 class _Collector:
     """Per (method, nc) accumulation of repetition outcomes."""
 
-    def __init__(self):
+    def __init__(self, record_timing):
+        self.record_timing = record_timing
         self.rmse = {}
         self.jitter = {}
         self.seconds = {}
 
-    def ok(self, key, t0, rmse_value, jitter, record_timing):
-        elapsed = (time.perf_counter() - t0) if record_timing else 0.0
+    def ok(self, key, t0, rmse_value, jitter):
+        elapsed = (time.perf_counter() - t0) if self.record_timing else 0.0
         self.rmse.setdefault(key, []).append(rmse_value)
         self.jitter.setdefault(key, []).append(jitter)
         self.seconds[key] = self.seconds.get(key, 0.0) + elapsed
-
-    def fail(self, key, rep, exc):
-        logger.warning("repetition %d failed for %s: %s", rep, key, exc)
 
     def rows(self, keys):
         out = []
@@ -233,10 +219,13 @@ def run_simulated(config):
     if len(config.domain) != 2:
         raise ValueError("the simulated benchmark is two-dimensional")
     keys = _result_keys(config, SIM_METHODS)
-    divergence = make_divergence_operator(2)
-    P = covariance_operator(construct_g(divergence)[0])
     grid = prediction_grid(config.domain, config.grid_size)
-    truth = simulated_field(grid, config.field_param_a)
+    with np.errstate(all="ignore"):
+        truth = simulated_field(grid, config.field_param_a)
+        if not np.isfinite(np.sum(truth * truth)):
+            raise ValueError(f"field_param_a {config.field_param_a!r} makes the simulated "
+                             "field or its square overflow on the grid")
+    divergence = make_divergence_operator(2)
     lows = np.array([lo for lo, _ in config.domain])
     highs = np.array([hi for _, hi in config.domain])
 
@@ -247,8 +236,7 @@ def run_simulated(config):
         return Dataset(X, Y, noise_std=config.noise_std), grid, truth
 
     collector, field_errors = _run_repetitions(
-        config, draw, divergence, "constrained",
-        lambda th: MatrixKernelExpr(P, th), derivative_prior=True)
+        config, draw, divergence, "constrained", field_family(construct_g(divergence)[0]))
     table = FieldErrorTable(points=grid, errors=field_errors) if field_errors else None
     return RmseReport(rows=collector.rows(keys), field_error=table)
 
@@ -276,8 +264,7 @@ def run_real_data(config, dataset_path):
         return data, X[test_idx], B[test_idx]
 
     collector, _ = _run_repetitions(
-        config, draw, make_curl_operator_3d(), "curl_free", CurlFreeKernel,
-        derivative_prior=False)
+        config, draw, make_curl_operator_3d(), "curl_free", CurlFreeKernel)
     return RmseReport(rows=collector.rows(keys))
 
 
@@ -293,65 +280,54 @@ def _result_keys(config, known_methods):
     return keys
 
 
-def _run_repetitions(config, draw, F, constrained, constrained_family,
-                     derivative_prior):
+def _run_repetitions(config, draw, F, constrained, constrained_family):
     """The per-repetition loop both pipelines share.
 
     ``draw(rng)`` returns (training Dataset, prediction points, true
     field there).  Per repetition: diagonal fit, ``constrained`` fit with
     ``constrained_family``, then the diagonal fit conditioned on F[f] = 0
     at a random subset of the prediction points for each nc, drawing from
-    rng in that order.  Returns the collector and the first repetition's
-    signed errors by label.
+    rng in that order.  Both families take theta at the field's variance,
+    so both fits start from the data's variance and span.  Returns the
+    collector and the first repetition's signed errors by label.
     """
     noise_var = config.noise_std ** 2
-    collector = _Collector()
+    collector = _Collector(config.record_timing)
     field_errors = {}
     rep_seeds = np.random.SeedSequence(config.seed).spawn(config.repetitions)
     for rep, rep_seed in enumerate(rep_seeds):
         rng = np.random.default_rng(rep_seed)
         data, points, truth = draw(rng)
         k, dim = data.out_dim, data.in_dim
+        span = float(np.max(np.ptp(data.inputs, axis=0))) or 1.0
+        init = SeHyperparams(max(float(np.var(data.outputs)), 1e-10), 0.3 * span, noise_var)
         opt = OptConfig(restarts=config.restarts, maxiter=config.maxiter,
                         learn_noise=config.learn_noise,
                         seed=int(rng.integers(2 ** 31)))
+        fits = []
+        if "diagonal" in config.methods or "artificial" in config.methods:
+            fits.append(("diagonal", lambda th: DiagonalKernel(th, k, in_dim=dim), opt))
+        if constrained in config.methods:
+            fits.append((constrained, constrained_family,
+                         replace(opt, seed=int(rng.integers(2 ** 31)))))
 
         diagonal = None
-        if "diagonal" in config.methods or "artificial" in config.methods:
-            key = ("diagonal", 0)
+        for label, family, label_opt in fits:
+            key = (label, 0)
             t0 = time.perf_counter()
             try:
-                fit = fit_hyperparameters(
-                    data, lambda th: DiagonalKernel(th, k, in_dim=dim),
-                    _init_theta(data, noise_var), opt)
-                diagonal = DiagonalKernel(fit.theta, k, in_dim=dim)
-                model = fit_gp(data, diagonal, noise_variance=fit.theta.noise_variance)
+                fit = fit_hyperparameters(data, family, init, label_opt)
+                kernel = family(fit.theta)
+                if label == "diagonal":
+                    diagonal = kernel
+                model = fit_gp(data, kernel, noise_variance=fit.theta.noise_variance)
                 pred = predict(model, points)
-                if "diagonal" in config.methods:
-                    collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
-                                 config.record_timing)
+                if label in config.methods:
+                    collector.ok(key, t0, rmse(pred.means, truth), model.jitter)
                     if rep == 0:
-                        field_errors["diagonal"] = pred.means - truth
+                        field_errors[label] = pred.means - truth
             except _FAILURES as exc:
-                collector.fail(key, rep, exc)
-
-        if constrained in config.methods:
-            key = (constrained, 0)
-            t0 = time.perf_counter()
-            try:
-                fit = fit_hyperparameters(
-                    data, constrained_family,
-                    _init_theta(data, noise_var, derivative_kernel=derivative_prior),
-                    replace(opt, seed=int(rng.integers(2 ** 31))))
-                model = fit_gp(data, constrained_family(fit.theta),
-                               noise_variance=fit.theta.noise_variance)
-                pred = predict(model, points)
-                collector.ok(key, t0, rmse(pred.means, truth), model.jitter,
-                             config.record_timing)
-                if rep == 0:
-                    field_errors[constrained] = pred.means - truth
-            except _FAILURES as exc:
-                collector.fail(key, rep, exc)
+                logger.warning("repetition %d failed for %s: %s", rep, key, exc)
 
         if "artificial" in config.methods and diagonal is not None:
             data_aug = Dataset(data.inputs, data.outputs, noise_std=float(
@@ -367,12 +343,11 @@ def _run_repetitions(config, draw, F, constrained, constrained_family,
                     model = pred = None
                     model = augment(data_aug, F, pts, diagonal)
                     pred = predict_augmented(model, points)
-                    collector.ok(key, t0, rmse(pred.means, truth),
-                                 model.jitter, config.record_timing)
+                    collector.ok(key, t0, rmse(pred.means, truth), model.jitter)
                     if rep == 0 and nc == max(config.nc_schedule):
                         field_errors[f"artificial_nc{nc}"] = pred.means - truth
                 except _FAILURES as exc:
-                    collector.fail(key, rep, exc)
+                    logger.warning("repetition %d failed for %s: %s", rep, key, exc)
 
     return collector, field_errors
 

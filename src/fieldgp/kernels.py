@@ -12,18 +12,20 @@ Kernel algebra is operator-matrix algebra (:func:`fieldgp.operators.
 symbolic_product`).  The covariance of ``f = G[g]`` for a scalar prior on
 g is G adj(G) (:func:`covariance_operator`), where adj transposes and
 maps d to -d because its operators act on the second argument; applying
-F to the first argument of P gives F P, to the second P adj(F).  The
-diagonal kernel is the constant identity (G = I) and the curl-free
-kernel l^2 times the gradient product.
+F to the first argument of P gives F P, to the second P adj(F).
+:func:`transform_kernel` gives g the signal variance sv; a constraint's
+:func:`field_family` gives it to the field, g getting sv l^(2q) for a G of
+degree q.  The curl-free kernel is the curl's field family (G is the
+gradient), the diagonal kernel the constant identity (G = I).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .operators import (DimensionMismatch, OperatorMatrix, OperatorPoly, construct_g,
-                        symbolic_product)
+                        make_curl_operator_3d, symbolic_product)
 
 @dataclass(frozen=True)
 class SeHyperparams:
@@ -43,13 +45,10 @@ class SeHyperparams:
 
     @classmethod
     def from_dict(cls, d):
+        """From a JSON object: a key other than the three fields is an error."""
         try:
-            return cls(
-                signal_variance=float(d["signal_variance"]),
-                length_scale=float(d["length_scale"]),
-                noise_variance=float(d.get("noise_variance", 0.0)),
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
+            return cls(**{key: float(value) for key, value in d.items()})
+        except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed hyperparams {d!r}: {exc!r}") from None
 
 
@@ -240,26 +239,21 @@ def identity_factor(kernel):
 
 
 class CurlFreeKernel(MatrixKernelExpr):
-    """3x3 kernel whose sample fields are gradients of a scalar SE potential.
-
-    It is l^2 times the gradient product grad adj(grad) (which is
-    ``transform_kernel(grad, theta)``), with l^2 folded into the
-    coefficients: entry (a, b) is sv exp(-|u|^2/2) (delta_ab - u_a u_b), so
-    sv stays the field variance.
+    """The curl's field family, built on first use: entry (a, b) is
+    sv exp(-|u|^2/2) (delta_ab - u_a u_b).  The class stays because
+    ``perfbench/spans.py`` times this family's ``eval_pairwise`` by class.
     """
 
     def __init__(self, theta):
-        grad = OperatorMatrix([[OperatorPoly.monomial(3, e)]
-                               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
-        ell2 = theta.length_scale ** 2
-        if ell2 == 0.0:  # the kernel would be identically zero
-            raise ValueError(f"curl-free length_scale {theta.length_scale!r} "
-                             "is too small: its square underflows to 0")
-        super().__init__(OperatorMatrix([[ell2 * poly for poly in row]
-                                         for row in covariance_operator(grad).entries]),
-                         theta)
+        kernel = _curl_free_family()(theta)
+        super().__init__(kernel.operator, kernel.theta)
 
     eval_pairwise = MatrixKernelExpr.eval_pairwise
+
+
+@cache
+def _curl_free_family():
+    return field_family(construct_g(make_curl_operator_3d())[0])
 
 
 class SumKernel(MatrixKernelExpr):
@@ -308,6 +302,27 @@ def transform_kernel(G, theta):
     return MatrixKernelExpr(covariance_operator(G), theta)
 
 
+def field_family(G):
+    """theta -> :func:`transform_kernel` of G at potential variance sv l^(2q), q
+    G's highest derivative order, so that sv is the field's variance.  A
+    potential variance that is not a normal float raises a ``ValueError``.
+    """
+    P, q = covariance_operator(G), G.max_degree()
+
+    def family(theta):
+        sv, ell = theta.signal_variance, theta.length_scale
+        try:
+            potential_sv = sv * ell ** (2 * q)
+        except OverflowError:
+            potential_sv = np.inf
+        if not np.finfo(float).tiny <= potential_sv < np.inf:
+            raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put "
+                             f"sv*l^{2 * q} outside the normal float range")
+        return MatrixKernelExpr(P, replace(theta, signal_variance=potential_sv))
+
+    return family
+
+
 def apply_operator_to_expr(F, expr, side):
     """Apply an operator matrix to one argument of a matrix kernel expression.
 
@@ -335,6 +350,11 @@ def _adjoint(F):
 # kernel specs (JSON wire format)
 
 
+#: The keys of each kernel spec type besides "type" and "hyperparams".
+_SPEC_KEYS = {"diagonal": {"out_dim", "in_dim"}, "curl_free_3d": set(),
+              "transformed": {"g_operator", "f_operator", "max_degree"}}
+
+
 def kernel_family_from_spec(spec, default_out_dim=None):
     """(family, theta) from a kernel's JSON spec dictionary.
 
@@ -342,12 +362,19 @@ def kernel_family_from_spec(spec, default_out_dim=None):
     with ``"out_dim"``/``"in_dim"`` for diagonal kernels and
     ``"g_operator"`` (an operator spec, or "auto-from-F" together with
     ``"f_operator"``) for transformed kernels; an explicit G given with an
-    F must satisfy F G = 0 exactly.  ``family(theta)`` is the kernel; G and
-    G adj(G) are built once, here, not per fit evaluation.
+    F must satisfy F G = 0 exactly; other keys are an error.
+    ``family(theta)`` is the kernel at field variance sv; G and G adj(G)
+    are built once, here, not per fit evaluation.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"kernel spec must be an object, not {type(spec).__name__}")
     kind = spec.get("type")
+    known = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if known is None:
+        raise ValueError(f"unknown kernel type {kind!r}")
+    unknown = set(spec) - known - {"type", "hyperparams"}
+    if unknown:
+        raise ValueError(f"unknown keys in a {kind} kernel spec: {sorted(unknown)}")
     theta = SeHyperparams.from_dict(spec.get("hyperparams", {}))
     if kind == "diagonal":
         out_dim = _spec_int(spec, "out_dim", default_out_dim or 1)
@@ -355,24 +382,21 @@ def kernel_family_from_spec(spec, default_out_dim=None):
         return (lambda th: DiagonalKernel(th, out_dim, in_dim=in_dim)), theta
     if kind == "curl_free_3d":
         return CurlFreeKernel, theta
-    if kind == "transformed":
-        g_spec = spec.get("g_operator", "auto-from-F")
-        if g_spec == "auto-from-F":
-            if "f_operator" not in spec:
-                raise ValueError("auto-from-F requires an 'f_operator' spec")
-            F = OperatorMatrix.from_json_dict(spec["f_operator"])
-            G, _ = construct_g(F, max_degree=_spec_int(spec, "max_degree", 3))
-        else:
-            G = OperatorMatrix.from_json_dict(g_spec)
-            if "f_operator" in spec:
-                residual = symbolic_product(
-                    OperatorMatrix.from_json_dict(spec["f_operator"]), G)
-                if not residual.is_zero():
-                    raise ValueError("g_operator does not annihilate f_operator; "
-                                     f"F G =\n{residual.render()}")
-        P = covariance_operator(G)
-        return (lambda th: MatrixKernelExpr(P, th)), theta
-    raise ValueError(f"unknown kernel type {kind!r}")
+    g_spec = spec.get("g_operator", "auto-from-F")
+    if g_spec == "auto-from-F":
+        if "f_operator" not in spec:
+            raise ValueError("auto-from-F requires an 'f_operator' spec")
+        F = OperatorMatrix.from_json_dict(spec["f_operator"])
+        G, _ = construct_g(F, max_degree=_spec_int(spec, "max_degree", 3))
+    else:
+        G = OperatorMatrix.from_json_dict(g_spec)
+        if "f_operator" in spec:
+            residual = symbolic_product(
+                OperatorMatrix.from_json_dict(spec["f_operator"]), G)
+            if not residual.is_zero():
+                raise ValueError("g_operator does not annihilate f_operator; "
+                                 f"F G =\n{residual.render()}")
+    return field_family(G), theta
 
 
 def _spec_int(spec, key, default):

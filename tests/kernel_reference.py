@@ -72,11 +72,16 @@ def term_loop(expr, X, X2):
     return out
 
 
-def reference_pairwise(kernel, X, X2):
-    """Kernel values in the (N1, N2, rows, cols) layout, computed the old way."""
+def reference_pairwise(kernel, theta, X, X2):
+    """Kernel values in the (N1, N2, rows, cols) layout, computed the old way.
+
+    ``theta`` is the one the kernel was built from: the closed forms take
+    the field's variance, which a curl-free kernel's own ``theta`` carries
+    as the potential's, sv l^2.
+    """
     if isinstance(kernel, CurlFreeKernel):
-        return curl_free_closed_form(kernel.theta, X, X2)
+        return curl_free_closed_form(theta, X, X2)
     if isinstance(kernel, DiagonalKernel):
-        return diagonal_closed_form(kernel.theta, kernel.shape[0], X, X2)
+        return diagonal_closed_form(theta, kernel.shape[0], X, X2)
     assert isinstance(kernel, MatrixKernelExpr)
     return term_loop(kernel, X, X2)

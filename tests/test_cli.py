@@ -177,13 +177,20 @@ def test_sim_experiment_bad_config(tmp_path, capsys):
     ("record_timing", 1), ("methods", "diagonal"), ("methods", ["diagonal", 1]),
     ("domain", [[0, 4], [0, "4"]]),
     ("nc_schedule", [4, 4]), ("methods", ["diagonal", "diagonal"]),   # duplicate entries
+    # valid numbers whose field, or its square, overflows on the grid
+    ("field_param_a", -45), ("field_param_a", -40), ("field_param_a", -30),
 ])
 def test_sim_experiment_config_wrong_type_exit_1(tmp_path, capsys, key, value):
     config = write_json(tmp_path / "config.json", {**TINY_CONFIG, key: value})
     code = main(["sim-experiment", "--config", config, "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"fieldgp: error: {config}: {key} must be")
+    if key == "field_param_a":
+        # rejected before any fit, with no numpy warning (it would raise here)
+        assert err.startswith(f"fieldgp: error: field_param_a {value!r} makes")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err.startswith(f"fieldgp: error: {config}: {key} must be")
 
 
 @pytest.mark.parametrize("doc", ["abc", [1]], ids=["string", "list"])
@@ -391,12 +398,14 @@ _IDENTITY_3D = {"vars": 3, "rows": 3, "cols": 3, "entries": [
     ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e-200}}),
     ("predict", {"type": "transformed", "f_operator": make_curl_operator_3d().to_json_dict(),
                  "g_operator": _IDENTITY_3D, "hyperparams": _HYPER}),
+    ("predict", {"type": "diagonal", "out_dims": 2, "hyperparams": _HYPER}),
+    ("predict", {"type": "diagonal", "hyperparams": {**_HYPER, "noise_varaince": 1e-2}}),
 ], ids=["entry_without_row", "term_without_exponents", "entries_not_a_list",
         "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object",
         "out_dim_list", "out_dim_fraction", "out_dim_bool",
         "max_degree_list", "max_degree_fraction", "max_degree_bool",
         "length_scale_squared_overflows", "length_scale_squared_underflows",
-        "g_operator_not_annihilating"])
+        "g_operator_not_annihilating", "unknown_key", "unknown_hyperparams_key"])
 def test_malformed_spec_exit_1(tmp_path, command, doc):
     spec = write_json(tmp_path / "spec.json", doc)
     if command == "construct-g":
@@ -416,21 +425,28 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
     for key in ("out_dim", "max_degree"):
         if isinstance(doc, dict) and key in doc:
             assert f"kernel spec {key!r} must be an integer" in proc.stderr
-    if isinstance(doc, dict) and doc.get("hyperparams") == {**_HYPER, "length_scale": 1e-200}:
+    if isinstance(doc, dict) and doc.get("hyperparams") in (
+            {**_HYPER, "length_scale": 1e-200}, {**_HYPER, "length_scale": 1e200}):
         assert "length_scale" in proc.stderr
+    for typo in ("out_dims", "noise_varaince"):
+        if typo in json.dumps(doc):
+            assert repr(typo) in proc.stderr
     if isinstance(doc, dict) and doc.get("g_operator") == _IDENTITY_3D:
         # the residual F G is the curl itself
         assert proc.stderr.endswith(f"F G =\n{make_curl_operator_3d().render()}\n")
 
 
 @pytest.mark.parametrize("theta", [
-    {"length_scale": 1e200},                             # sv l^-2 underflows to 0
-    {"signal_variance": 1e-320},                         # subnormal coefficients
-    {"signal_variance": 1e300, "length_scale": 1e-5},    # sv l^-2 overflows
-], ids=["underflow", "subnormal", "overflow"])
+    {"signal_variance": 1e-320, "length_scale": 1e10},   # subnormal coefficients
+    {"length_scale": 1e-200},                            # sv l^2 underflows to 0
+    {"length_scale": 1e-160},                            # sv l^2 is subnormal
+    {"length_scale": 1e200},                             # l^2 overflows
+], ids=["subnormal", "potential_variance_zero", "potential_variance_subnormal",
+        "potential_variance_overflow"])
 def test_predict_coefficient_out_of_range_exit_1(tmp_path, capsys, theta):
-    # a kernel whose folded coefficients left the normal floats would be
-    # zero, or nearly so, and predict a mean of 0 with no error
+    # a kernel whose potential variance sv l^2, or a folded coefficient
+    # sv l^2 l^-2, left the normal floats would be zero, or nearly so, and
+    # predict a mean of 0 with no error
     X, B = synthetic_curl_free_field(10, seed=4)
     write_field_csv(tmp_path / "train.csv", X, B)
     (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
@@ -445,6 +461,7 @@ def test_predict_coefficient_out_of_range_exit_1(tmp_path, capsys, theta):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("fieldgp: error: signal_variance ")
+    assert "length_scale" in captured.err
     assert "outside the normal float range" in captured.err
     assert not (tmp_path / "pred.csv").exists()
 
@@ -705,8 +722,6 @@ _FUZZ_BASE_CONFIG = {
 }
 
 
-# a field_param_a of -45 grows the simulated field's envelope past the floats
-@_IGNORE_OVERFLOW
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(f.name for f in fields(ExperimentConfig)) + ["unknown"]),

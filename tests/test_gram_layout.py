@@ -34,7 +34,7 @@ THETA = SeHyperparams(1.3, 0.15, 1e-3)
 
 
 def reference_cross_gram(kernel, X1, X2):
-    k = reference_pairwise(kernel, X1, X2)
+    k = reference_pairwise(kernel, THETA, X1, X2)
     n1, n2, r, c = k.shape
     return k.transpose(0, 2, 1, 3).reshape(n1 * r, n2 * c)
 

@@ -1,6 +1,8 @@
 """Tests for SE derivatives and operator-transformed matrix kernels."""
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fieldgp.kernels import (
     SumKernel,
     apply_operator_to_expr,
     covariance_operator,
+    field_family,
     identity_factor,
     kernel_family_from_spec,
     se_derivative,
@@ -281,6 +284,75 @@ def test_curl_free_closed_form_decay():
     x = np.zeros(3)
     far = np.array([50.0, 0.0, 0.0])
     assert np.max(np.abs(CurlFreeKernel(THETA).eval(x, far))) < 1e-200
+
+
+_CURL_SPECS = (
+    {"type": "curl_free_3d"},
+    {"type": "transformed", "g_operator": "auto-from-F",
+     "f_operator": make_curl_operator_3d().to_json_dict()},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_sv=st.floats(-10.0, 10.0), log_ls=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_curl_free_kernels_are_the_field_family_bitwise(log_sv, log_ls, seed):
+    # the class, the curl_free_3d spec and the auto-from-F curl spec are the
+    # one field family of the curl, at the field's variance sv
+    theta = SeHyperparams(float(np.exp(log_sv)), float(np.exp(log_ls)), 1e-6)
+    want = field_family(construct_g(make_curl_operator_3d())[0])(theta)
+    assert want.theta.signal_variance == theta.signal_variance * theta.length_scale ** 2
+    spec_kernels = []
+    for spec in _CURL_SPECS:
+        family, spec_theta = kernel_family_from_spec(
+            {**spec, "hyperparams": dataclasses.asdict(theta)})
+        assert spec_theta == theta
+        spec_kernels.append(family(spec_theta))
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(6, 3)) * theta.length_scale
+    X2 = np.concatenate([X[:2], rng.uniform(-2.0, 2.0, size=(3, 3)) * theta.length_scale])
+    expected = want.eval_pairwise(X, X2)
+    for kernel in (CurlFreeKernel(theta), *spec_kernels):
+        assert kernel.operator == want.operator and kernel.theta == want.theta
+        assert np.array_equal(kernel.eval_pairwise(X, X2).view(np.int64),
+                              expected.view(np.int64))
+
+
+def test_import_builds_no_annihilator():
+    # the curl-free family constructs its G on first use, not at import, so
+    # importing fieldgp stays as cheap as it was
+    check = ("import fieldgp\n"
+             "assert fieldgp.kernels._curl_free_family.cache_info().currsize == 0\n"
+             "fieldgp.CurlFreeKernel(fieldgp.SeHyperparams(1.0, 1.0))\n"
+             "assert fieldgp.kernels._curl_free_family.cache_info().currsize == 1\n")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("sv,ls", [
+    (1.0, 1e-200),      # sv l^2 underflows to 0
+    (1.0, 1e-160),      # sv l^2 is subnormal
+    (1e-320, 1.0),      # sv itself is subnormal
+    (1.0, 1e200),       # l^2 overflows
+    (1e300, 1e10),      # sv l^2 overflows
+])
+def test_field_family_rejects_a_potential_variance_outside_the_normal_floats(sv, ls):
+    family = field_family(construct_g(make_curl_operator_3d())[0])
+    with pytest.raises(ValueError, match="signal_variance .* length_scale"):
+        family(SeHyperparams(sv, ls))
+
+
+@pytest.mark.parametrize("sv,ls", [
+    (1.0, 1e200),       # sv l^-2 underflows to 0
+    (1e-320, 1.0),      # subnormal coefficients
+    (1e300, 1e-5),      # sv l^-2 overflows
+], ids=["underflow", "subnormal", "overflow"])
+def test_compile_rejects_a_coefficient_outside_the_normal_floats(sv, ls):
+    # the potential-variance kernel folds sv l^-2 into its coefficients; one
+    # that left the normal floats would evaluate a zero or wrong kernel
+    kernel = transform_kernel(construct_g(make_curl_operator_3d())[0], SeHyperparams(sv, ls))
+    with pytest.raises(ValueError, match="outside the normal float range"):
+        kernel.eval_pairwise(np.zeros((2, 3)), np.ones((1, 3)))
 
 
 def _identity_expr(out_dim, dim):
@@ -614,7 +686,7 @@ def test_eval_pairwise_matches_old_arithmetic(data, dim, sv, ls):
         X2[0] = X[-1]        # a coincident pair: exact zero differences
     for kernel in _family_kernels(dim, theta):
         got = kernel.eval_pairwise(X, X2).transpose(0, 2, 1, 3)
-        ref = reference_pairwise(kernel, X, X2)
+        ref = reference_pairwise(kernel, theta, X, X2)
         # far pairs underflow; below 1e-200 * sv a value is zero for any use
         scale = max(np.max(np.abs(ref)), 1e-200 * sv)
         assert got.shape == ref.shape
