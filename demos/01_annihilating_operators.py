@@ -13,7 +13,6 @@ constraint, and shows the intermediate linear system the search solves.
 import numpy as np
 
 from fieldgp import (
-    AnsatzBasis,
     NoAnnihilatorFound,
     OperatorMatrix,
     OperatorPoly,
@@ -21,6 +20,7 @@ from fieldgp import (
     construct_g,
     make_curl_operator_3d,
     make_divergence_operator,
+    monomials_of_degree,
     symbolic_product,
 )
 
@@ -34,11 +34,11 @@ print(F.render())
 # The search parameterizes a candidate column gamma = Gamma xi over the
 # first-order derivative monomials and collects coefficients of
 # F (Gamma xi) into a homogeneous system A vec(Gamma) = 0.
-system = build_ansatz_system(F, AnsatzBasis(2, {1}))
+A, _ = build_ansatz_system(F, monomials_of_degree(2, 1))
 print("\ncoefficient system A (rows: product monomials, cols: vec(Gamma)):")
-print(np.array(system.matrix, dtype=int))
+print(np.array(A, dtype=int))
 
-G, solution = construct_g(F)
+G, _ = construct_g(F)
 print("\nannihilator G (one column per nullspace vector):")
 print(G.render())
 print("F G = 0 holds symbolically:", symbolic_product(F, G).is_zero())
@@ -59,7 +59,7 @@ print(G_curl.render())
 # potential g has three components (a vector potential).
 
 F3 = make_divergence_operator(3)
-G3, sol3 = construct_g(F3)
+G3, _ = construct_g(F3)
 print(f"\n3-D divergence annihilator has {G3.cols} columns:")
 print(G3.render())
 

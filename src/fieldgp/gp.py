@@ -204,9 +204,13 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
 
 
 def _check_out_dim(kernel, data):
+    """Raise a ``ValueError`` unless the kernel's output and input counts fit the data."""
     if kernel.shape[0] != data.out_dim:
         raise ValueError(f"the kernel has {kernel.shape[0]} output components, "
                          f"the data {data.out_dim}")
+    if kernel.in_dim not in (None, data.in_dim):
+        raise ValueError(f"the kernel is over {kernel.in_dim} input variables, "
+                         f"the data {data.in_dim}")
 
 
 def log_marginal_likelihood(model):

@@ -247,6 +247,7 @@ class CurlFreeKernel(MatrixKernelExpr):
     def __init__(self, theta):
         kernel = _curl_free_family()(theta)
         super().__init__(kernel.operator, kernel.theta)
+        self._plan = kernel._plan
 
     eval_pairwise = MatrixKernelExpr.eval_pairwise
 
@@ -305,7 +306,8 @@ def transform_kernel(G, theta):
 def field_family(G):
     """theta -> :func:`transform_kernel` of G at potential variance sv l^(2q), q
     G's highest derivative order, so that sv is the field's variance.  A
-    potential variance that is not a normal float raises a ``ValueError``.
+    potential variance or a folded operator coefficient that is not a normal
+    float raises a ``ValueError`` that names theta.
     """
     P, q = covariance_operator(G), G.max_degree()
 
@@ -318,7 +320,13 @@ def field_family(G):
         if not np.finfo(float).tiny <= potential_sv < np.inf:
             raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put "
                              f"sv*l^{2 * q} outside the normal float range")
-        return MatrixKernelExpr(P, replace(theta, signal_variance=potential_sv))
+        kernel = MatrixKernelExpr(P, replace(theta, signal_variance=potential_sv))
+        try:  # compiled here, so that the error names theta rather than theta'
+            kernel._plan = _compile(P, kernel.theta)
+        except ValueError:
+            raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put an "
+                             "operator coefficient outside the normal float range") from None
+        return kernel
 
     return family
 

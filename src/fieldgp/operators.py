@@ -10,12 +10,11 @@ is a rectangular grid of such polynomials and models a linear operator
 acting on vector-valued functions componentwise.
 
 Given a constraint matrix F, :func:`construct_g` finds an operator matrix
-G with ``F G = 0`` so that any field of the form ``f = G[g]`` satisfies
-the constraint identically.  The search parameterizes candidate columns
-of G over a basis of derivative monomials, collects the coefficients of
-the expanded product into a homogeneous linear system, and reads G off a
-basis of its nullspace, all in exact rational arithmetic, so ``F G = 0``
-holds exactly.
+G with ``F G = 0``, so that any field ``f = G[g]`` satisfies the constraint
+identically.  An ansatz, a graded-lex list of derivative monomials, spans
+candidate columns of G; :func:`build_ansatz_system` expands the product into
+exact rows and :func:`nullspace` reads G off them, all in rational
+arithmetic, so ``F G = 0`` holds exactly.
 """
 
 import json
@@ -397,72 +396,27 @@ def symbolic_product(F, G):
 # ansatz machinery
 
 
-class AnsatzBasis:
-    """Ordered basis of derivative monomials over ``p`` variables.
+def build_ansatz_system(F, monomials):
+    """Expand ``F (Gamma xi)`` and collect coefficients into ``(A, row_index)``.
 
-    Contains every monomial whose total degree lies in ``degrees``,
-    listed in graded-lex order, which fixes the column layout of the
-    coefficient system.
-    """
-
-    __slots__ = ("p", "degrees", "monomials")
-
-    def __init__(self, p, degrees):
-        degrees = frozenset(int(q) for q in degrees)
-        if not degrees or any(q < 0 for q in degrees):
-            raise ValueError("degrees must be a nonempty set of integers >= 0")
-        monos = [m for q in sorted(degrees) for m in monomials_of_degree(p, q)]
-        self.p = p
-        self.degrees = degrees
-        self.monomials = tuple(monos)
-
-    @property
-    def size(self):
-        return len(self.monomials)
-
-    def __repr__(self):
-        return f"AnsatzBasis(p={self.p}, degrees={sorted(self.degrees)}, size={self.size})"
-
-
-class AnsatzSystem:
-    """Homogeneous linear system encoding ``F (Gamma xi) = 0``.
-
-    Rows are indexed by (constraint row, product monomial); columns by
-    the entries of Gamma flattened row-major, i.e. (output component j,
-    ansatz monomial k).  ``A @ vec(Gamma) = 0`` holds exactly when the
-    operator identity does.
-    """
-
-    __slots__ = ("matrix", "row_index", "col_index")
-
-    def __init__(self, matrix, row_index, col_index):
-        self.matrix = matrix
-        self.row_index = row_index
-        self.col_index = col_index
-
-    @property
-    def ncols(self):
-        return len(self.col_index)
-
-
-def build_ansatz_system(F, ansatz):
-    """Expand ``F (Gamma xi)`` and collect coefficients into a linear system.
-
-    For each constraint row i of F, the candidate column ``gamma = Gamma xi``
-    is applied and the product expanded over the canonical monomial basis;
-    commuting symbols make mixed products symmetrize automatically.  Each
-    product monomial that can receive a nonzero coefficient contributes one
-    equation.
+    ``monomials`` is the ansatz xi: the derivative monomials that each
+    candidate column ``gamma = Gamma xi`` of G combines.  Row r of the exact
+    matrix ``A`` is one (constraint row i, product monomial) pair,
+    ``row_index[r]``, that can receive a nonzero coefficient, with product
+    monomials in graded-lex order within each i.  Column ``j * M + k`` (M
+    monomials) is Gamma's entry for output component j and monomial k, so
+    ``A @ vec(Gamma) = 0``, Gamma flattened row-major, holds exactly when the
+    operator identity does.  Commuting symbols make mixed products symmetrize
+    automatically.
     """
     if not isinstance(F, OperatorMatrix):
         raise TypeError("F must be an OperatorMatrix")
-    if ansatz.p != F.vars:
+    if any(len(mono) != F.vars for mono in monomials):
         raise DimensionMismatch(
-            f"ansatz over {ansatz.p} variables, operator over {F.vars}"
+            f"ansatz over {len(monomials[0])} variables, operator over {F.vars}"
         )
     n = F.cols
-    m_g = ansatz.size
-    col_index = [(j, k) for j in range(n) for k in range(m_g)]
+    m_g = len(monomials)
     matrix = []
     row_index = []
     for i in range(F.rows):
@@ -470,7 +424,7 @@ def build_ansatz_system(F, ansatz):
         per_mono = {}
         for j in range(n):
             for mono_f, coeff in F.entry(i, j).terms.items():
-                for k, mono_a in enumerate(ansatz.monomials):
+                for k, mono_a in enumerate(monomials):
                     prod = tuple(a + b for a, b in zip(mono_f, mono_a))
                     row = per_mono.setdefault(prod, {})
                     col = j * m_g + k
@@ -479,33 +433,30 @@ def build_ansatz_system(F, ansatz):
             cols = per_mono[prod]
             matrix.append([cols.get(c, 0) for c in range(n * m_g)])
             row_index.append((i, prod))
-    return AnsatzSystem(matrix, row_index, col_index)
+    return matrix, row_index
 
 
-def nullspace(A, ncols=None):
-    """Basis of the right nullspace of ``A`` by rational Gauss-Jordan elimination.
+def nullspace(rows, ncols=None):
+    """Basis of the right nullspace of a matrix by rational Gauss-Jordan elimination.
 
     Parameters
     ----------
-    A : AnsatzSystem, ndarray, or sequence of rows
+    rows : ndarray or sequence of rows
         Entries go through :func:`exact`, so floats are read as the decimal
         they spell and the result is deterministic.
     ncols : int, optional
-        Required when ``A`` has no rows and is not an AnsatzSystem.
+        Required when the matrix has no rows.
 
     Returns
     -------
     list of vectors, each a list of Fractions.  Empty list means the
     nullspace is trivial.
     """
-    if isinstance(A, AnsatzSystem):
-        rows, ncols = A.matrix, A.ncols
-    else:
-        rows = [list(r) for r in A]
-        if rows:
-            ncols = len(rows[0])
-        elif ncols is None:
-            raise ValueError("ncols is required for a matrix with no rows")
+    rows = [list(r) for r in rows]
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols is required for a matrix with no rows")
     work = [[Fraction(exact(x)) for x in row] for row in rows]
     pivots = []
     r = 0
@@ -534,45 +485,20 @@ def nullspace(A, ncols=None):
     return basis
 
 
-class GammaSolution:
-    """Nullspace solution backing a constructed annihilator.
-
-    ``basis`` holds one n x M_g coefficient matrix per returned column of
-    G, normalized so the first nonzero entry (row-major, monomials in
-    graded-lex order) equals one.
-    """
-
-    __slots__ = ("basis", "ansatz")
-
-    def __init__(self, basis, ansatz):
-        self.basis = basis
-        self.ansatz = ansatz
-
-
-def _degree_schedule(q_f, max_degree):
-    """Homogeneous degree sets first, then widening mixed sets."""
-    schedule = [frozenset({q}) for q in range(q_f, max_degree + 1)]
-    schedule += [frozenset(range(q + 1)) for q in range(q_f, max_degree + 1)]
-    seen, out = set(), []
-    for s in schedule:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
-
-
 def construct_g(F, max_degree=3):
     """Construct an operator matrix G with ``F G = 0``.
 
-    Tries ansatz degree sets in a fixed escalation order: the homogeneous
-    degree of F first, then higher homogeneous degrees, then mixed sets
-    {0..q}.  The first ansatz whose coefficient system has a nontrivial
-    nullspace yields G, one column per nullspace basis vector.
+    Tries ansatz degree sets in a fixed escalation order: homogeneous {q}
+    for q from F's degree q_F to ``max_degree``, then mixed {0..q} for q
+    from max(q_F, 1).  An ansatz is every monomial of those degrees, in
+    graded-lex order.  The first whose coefficient system has a nontrivial
+    nullspace yields G, one column per nullspace basis vector divided by
+    its first nonzero coefficient (component-major, monomials in order).
 
     Returns
     -------
-    (G, solution) : G is n x P over the same variables as F; ``solution``
-    carries the normalized Gamma matrices and the ansatz used.
+    (G, degrees) : G is n x P over the same variables as F; ``degrees``
+    is the frozenset of ansatz degrees that produced it.
 
     Raises
     ------
@@ -583,23 +509,21 @@ def construct_g(F, max_degree=3):
     if max_degree < q_f:
         raise ValueError(f"max_degree={max_degree} is below the operator degree {q_f}")
     n = F.cols
-    for degrees in _degree_schedule(q_f, max_degree):
-        ansatz = AnsatzBasis(F.vars, degrees)
-        vectors = nullspace(build_ansatz_system(F, ansatz))
+    schedule = [frozenset({q}) for q in range(q_f, max_degree + 1)]
+    schedule += [frozenset(range(q + 1)) for q in range(max(q_f, 1), max_degree + 1)]
+    for degrees in schedule:
+        monomials = [m for q in sorted(degrees) for m in monomials_of_degree(F.vars, q)]
+        m_g = len(monomials)
+        vectors = nullspace(build_ansatz_system(F, monomials)[0], n * m_g)
         if not vectors:
             continue
-        gammas = [_normalize_gamma(v, n, ansatz.size) for v in vectors]
-        G = OperatorMatrix([[OperatorPoly(F.vars, dict(zip(ansatz.monomials, gamma[j])))
-                             for gamma in gammas] for j in range(n)])
+        gammas = []
+        for v in vectors:  # each divided by its first nonzero coefficient
+            lead = next(x for x in v if x != 0)
+            gammas.append([x / lead for x in v])
+        G = OperatorMatrix([[OperatorPoly(F.vars, dict(zip(monomials, g[j * m_g:(j + 1) * m_g])))
+                             for g in gammas] for j in range(n)])
         if not symbolic_product(F, G).is_zero():
             raise RuntimeError("constructed G does not annihilate F exactly")
-        return G, GammaSolution(gammas, ansatz)
+        return G, degrees
     raise NoAnnihilatorFound(max_degree)
-
-
-def _normalize_gamma(vec, n, m_g):
-    lead = next((x for x in vec if x != 0), None)
-    if lead is None:
-        raise ValueError("nullspace returned a zero vector")
-    scaled = [x / lead for x in vec]
-    return [scaled[j * m_g:(j + 1) * m_g] for j in range(n)]

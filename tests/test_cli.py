@@ -462,6 +462,8 @@ def test_predict_coefficient_out_of_range_exit_1(tmp_path, capsys, theta):
     assert captured.out == ""
     assert captured.err.startswith("fieldgp: error: signal_variance ")
     assert "length_scale" in captured.err
+    # the theta of the spec, not the potential's sv l^2
+    assert f"signal_variance {theta.get('signal_variance', 1.0)!r} " in captured.err
     assert "outside the normal float range" in captured.err
     assert not (tmp_path / "pred.csv").exists()
 
@@ -497,6 +499,26 @@ def test_predict_kernel_out_dim_mismatch_exit_1(tmp_path, capsys, no_fit):
     assert code == 1
     assert capsys.readouterr().err == (
         "fieldgp: error: the kernel has 2 output components, the data 3\n")
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("no_fit", [True, False], ids=["no_fit", "fit"])
+def test_predict_kernel_in_dim_mismatch_exit_1(tmp_path, capsys, no_fit):
+    # a 3-row G over 2 variables on a 3-D field: named before any fit evaluation
+    X, B = synthetic_curl_free_field(10, seed=4)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
+    g_2d = {"vars": 2, "rows": 3, "cols": 1, "entries": [
+        {"row": i, "col": 0, "terms": [{"coeff": 1, "exponents": e}]}
+        for i, e in enumerate(([1, 0], [0, 1], [0, 0]))]}
+    spec = write_json(tmp_path / "kernel.json",
+                      {"type": "transformed", "g_operator": g_2d, "hyperparams": _HYPER})
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"),
+                 "--out", str(tmp_path / "pred.csv"), *(["--no-fit"] if no_fit else [])])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "fieldgp: error: the kernel is over 2 input variables, the data 3\n")
     assert not (tmp_path / "pred.csv").exists()
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldgp.operators import (
-    AnsatzBasis,
     DimensionMismatch,
     NoAnnihilatorFound,
     OperatorMatrix,
@@ -61,13 +60,24 @@ def bareiss_rank(rows):
     return rank
 
 
-def brute_force_expand(F, gamma, ansatz):
+def ansatz(p, degrees):
+    """The monomials of the given total degrees over p variables, in graded-lex order."""
+    return [m for q in sorted(degrees) for m in monomials_of_degree(p, q)]
+
+
+def g_columns(G, monomials):
+    """Each column of G as its coefficients, component-major over ``monomials``."""
+    return [[G.entry(j, c).terms.get(m, 0) for j in range(G.rows) for m in monomials]
+            for c in range(G.cols)]
+
+
+def brute_force_expand(F, gamma, monomials):
     """Expand F (Gamma xi) with plain dicts; returns {(row, monomial): coeff}."""
     out = {}
     for i in range(F.rows):
         for j in range(F.cols):
             for mono_f, c_f in F.entry(i, j).terms.items():
-                for k, mono_a in enumerate(ansatz.monomials):
+                for k, mono_a in enumerate(monomials):
                     c = c_f * gamma[j][k]
                     if c == 0:
                         continue
@@ -221,50 +231,51 @@ def test_curl_annihilates_gradient_column():
 def test_ansatz_system_golden_2d_divergence():
     # the documented 3x4 coefficient matrix under (g11, g12, g21, g22) columns
     F = make_divergence_operator(2)
-    system = build_ansatz_system(F, AnsatzBasis(2, {1}))
-    assert system.matrix == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
-    assert [m for _, m in system.row_index] == [(2, 0), (1, 1), (0, 2)]
-    assert system.col_index == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    A, row_index = build_ansatz_system(F, monomials_of_degree(2, 1))
+    assert A == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert [m for _, m in row_index] == [(2, 0), (1, 1), (0, 2)]
 
 
 def test_ansatz_system_zero_operator():
     F = OperatorMatrix([[OperatorPoly.zero(2)]])
-    system = build_ansatz_system(F, AnsatzBasis(2, {1}))
-    assert all(all(x == 0 for x in row) for row in system.matrix)
-    vectors = nullspace(system)
-    assert len(vectors) == system.ncols == 2  # every Gamma solves it
+    monomials = monomials_of_degree(2, 1)
+    A, _ = build_ansatz_system(F, monomials)
+    assert all(all(x == 0 for x in row) for row in A)
+    ncols = F.cols * len(monomials)
+    vectors = nullspace(A, ncols)
+    assert len(vectors) == ncols == 2  # every Gamma solves it
 
 
 def test_ansatz_system_curl_conditions():
     # the constraint set must pin Gamma to multiples of the identity
     F = make_curl_operator_3d()
-    system = build_ansatz_system(F, AnsatzBasis(3, {1}))
-    vectors = nullspace(system)
+    A, _ = build_ansatz_system(F, monomials_of_degree(3, 1))
+    vectors = nullspace(A)
     assert len(vectors) == 1
     identity_vec = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     lead = vectors[0][0]
     assert lead != 0
     assert [x / lead for x in vectors[0]] == identity_vec
-    assert bareiss_rank(system.matrix) == 8
+    assert bareiss_rank(A) == 8
 
 
 def test_ansatz_system_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        build_ansatz_system(make_divergence_operator(2), AnsatzBasis(3, {1}))
+        build_ansatz_system(make_divergence_operator(2), monomials_of_degree(3, 1))
 
 
 def test_degree_bookkeeping():
     # every emitted row monomial is an achievable F-term + ansatz-term sum
     for F in (make_divergence_operator(2), make_curl_operator_3d()):
         for degrees in ({1}, {0, 1}):
-            ansatz = AnsatzBasis(F.vars, degrees)
-            system = build_ansatz_system(F, ansatz)
-            for i, mono in system.row_index:
+            monomials = ansatz(F.vars, degrees)
+            _, row_index = build_ansatz_system(F, monomials)
+            for i, mono in row_index:
                 achievable = {
                     tuple(a + b for a, b in zip(mono_f, mono_a))
                     for j in range(F.cols)
                     for mono_f in F.entry(i, j).terms
-                    for mono_a in ansatz.monomials
+                    for mono_a in monomials
                 }
                 assert mono in achievable
                 f_degs = {sum(m) for j in range(F.cols)
@@ -277,30 +288,29 @@ def test_system_faithfulness_random_gammas(rng):
     cases = [make_divergence_operator(2), make_divergence_operator(3),
              make_curl_operator_3d()]
     for F in cases:
-        ansatz = AnsatzBasis(F.vars, {1})
-        system = build_ansatz_system(F, ansatz)
-        n, m_g = F.cols, ansatz.size
+        monomials = monomials_of_degree(F.vars, 1)
+        A, row_index = build_ansatz_system(F, monomials)
+        n, m_g = F.cols, len(monomials)
         for _ in range(50):
             gamma = [[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
                       for _ in range(m_g)] for _ in range(n)]
             vec = [gamma[j][k] for j in range(n) for k in range(m_g)]
-            expanded = brute_force_expand(F, gamma, ansatz)
-            for row, key in zip(system.matrix, system.row_index):
+            expanded = brute_force_expand(F, gamma, monomials)
+            for row, key in zip(A, row_index):
                 lhs = sum(c * v for c, v in zip(row, vec))
                 assert lhs == expanded.get(key, 0)
             # zero expansion <=> A vec = 0
-            residuals = [sum(c * v for c, v in zip(row, vec))
-                         for row in system.matrix]
+            residuals = [sum(c * v for c, v in zip(row, vec)) for row in A]
             assert (not expanded) == all(r == 0 for r in residuals)
 
 
 def test_faithfulness_on_nullspace_vectors():
     F = make_divergence_operator(3)
-    ansatz = AnsatzBasis(3, {1})
-    system = build_ansatz_system(F, ansatz)
-    for vec in nullspace(system):
-        gamma = [vec[j * ansatz.size:(j + 1) * ansatz.size] for j in range(F.cols)]
-        assert brute_force_expand(F, gamma, ansatz) == {}
+    monomials = monomials_of_degree(3, 1)
+    m_g = len(monomials)
+    for vec in nullspace(build_ansatz_system(F, monomials)[0]):
+        gamma = [vec[j * m_g:(j + 1) * m_g] for j in range(F.cols)]
+        assert brute_force_expand(F, gamma, monomials) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +394,12 @@ def test_nullspace_property_exact(rows):
 
 
 def test_construct_g_2d_divergence():
-    G, sol = construct_g(make_divergence_operator(2))
+    G, degrees = construct_g(make_divergence_operator(2))
     # canonical form; proportional to the hand-derived [-d/dx2, d/dx1]
     assert (G.rows, G.cols) == (2, 1)
     assert G.entry(0, 0) == dx(2, 1)
     assert G.entry(1, 0) == dx(2, 0, -1)
-    assert sol.ansatz.degrees == {1}
+    assert degrees == {1}
 
 
 def test_construct_g_curl():
@@ -399,9 +409,9 @@ def test_construct_g_curl():
 
 
 def test_construct_g_3d_divergence_span():
-    G, sol = construct_g(make_divergence_operator(3))
+    G, degrees = construct_g(make_divergence_operator(3))
     assert G.cols == 3
-    vecs = [[x for row in gamma for x in row] for gamma in sol.basis]
+    vecs = g_columns(G, ansatz(3, degrees))
     expected = [
         [0, 0, 0, 0, 0, 1, 0, -1, 0],   # [0, d3, -d2]
         [0, 0, -1, 0, 0, 0, 1, 0, 0],   # [-d3, 0, d1]
@@ -427,8 +437,8 @@ def test_construct_g_annihilation_exact(make_f):
 def test_construct_g_constant_operator():
     # pure linear transform: f1 - f2 = 0 forces equal components
     F = OperatorMatrix([[OperatorPoly.constant(2, 1), OperatorPoly.constant(2, -1)]])
-    G, sol = construct_g(F)
-    assert sol.ansatz.degrees == {0}
+    G, degrees = construct_g(F)
+    assert degrees == {0}
     assert G.entry(0, 0) == OperatorPoly.constant(2, 1)
     assert G.entry(1, 0) == OperatorPoly.constant(2, 1)
 
@@ -466,6 +476,43 @@ def test_construct_g_floating_coefficients():
     coeffs = {c for row in G.entries for poly in row for c in poly.terms.values()}
     assert {Fraction(-3, 17), Fraction(1, 7), Fraction(17, 21)} <= coeffs
     assert OperatorMatrix.from_json_dict(json.loads(json.dumps(G.to_json_dict()))) == G
+
+
+@st.composite
+def operators_with_an_annihilator(draw):
+    """Integer F with more columns than rows, entries of degree <= 2 for one
+    row and <= 1 for two: F's cofactors (or, when they vanish, those of one
+    nonzero row) give an annihilator of degree <= 2, inside the search."""
+    p = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(rows + 1, 3))
+    monos = ansatz(p, range(4 - rows))[::-1]  # top degree first: fewer constant entries
+    terms = st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), max_size=2)
+    return OperatorMatrix([[OperatorPoly(p, draw(terms)) for _ in range(cols)]
+                           for _ in range(rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators_with_an_annihilator())
+def test_construct_g_normalization_and_degree_set(F):
+    G, degrees = construct_g(F)
+    monomials = ansatz(F.vars, degrees)
+    # every column lives on the ansatz; its first nonzero coefficient,
+    # component-major with monomials in graded-lex order, is one
+    assert all(set(poly.terms) <= set(monomials) for row in G.entries for poly in row)
+    for column in g_columns(G, monomials):
+        assert next(x for x in column if x != 0) == 1
+    assert symbolic_product(F, G).is_zero()
+    # degrees is the first set of the schedule with a nontrivial nullspace
+    q_f = F.max_degree()
+    schedule = ([{q} for q in range(q_f, 4)]
+                + [set(range(q + 1)) for q in range(max(q_f, 1), 4)])
+    assert degrees in schedule
+    for earlier in schedule[:schedule.index(degrees)]:
+        monos = ansatz(F.vars, earlier)
+        assert nullspace(build_ansatz_system(F, monos)[0], F.cols * len(monos)) == []
+    ncols = F.cols * len(monomials)
+    assert len(nullspace(build_ansatz_system(F, monomials)[0], ncols)) == G.cols
 
 
 # ---------------------------------------------------------------------------
