@@ -21,7 +21,7 @@ from .gp import (Dataset, FitResult, GpModel, NotPositiveDefinite, ObservationBl
                  predict)
 from .kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
                       SumKernel, apply_operator_to_expr, covariance_operator, field_family,
-                      kernel_family_from_spec, se_derivative, se_eval, transform_kernel)
+                      kernel_family_from_spec, se_derivative, transform_kernel)
 from .operators import (DimensionMismatch, NoAnnihilatorFound, OperatorMatrix, OperatorPoly,
                         build_ansatz_system, construct_g, make_curl_operator_3d,
                         make_divergence_operator, monomials_of_degree, nullspace,

@@ -63,10 +63,6 @@ class Dataset:
             raise ValueError("noise_std must be >= 0")
 
     @property
-    def n_points(self):
-        return self.inputs.shape[0]
-
-    @property
     def in_dim(self):
         return self.inputs.shape[1]
 
@@ -151,19 +147,18 @@ class ObservationBlock(NamedTuple):
 
 
 class GpModel:
-    """A fitted GP: kernel, training data, and the factored joint Gram matrix.
+    """A fitted GP: training data and the factored joint Gram matrix.
 
     ``L`` factors the Gram matrix of ``factor``, and the joint Gram matrix
     is kron(L L^T, I_repeats): ``factor`` is the scalar kernel of an
-    independent-output ``kernel`` with ``repeats`` components, else
-    ``kernel`` itself with ``repeats`` 1.  ``block`` is the
+    independent-output kernel with ``repeats`` components, else the
+    fitted kernel itself with ``repeats`` 1.  ``block`` is the
     :class:`ObservationBlock` conditioned on besides the data, or None;
     ``alpha`` is the flattened point-major K^-1 y over the data rows,
     then the block's rows.
     """
 
-    def __init__(self, kernel, factor, repeats, data, L, alpha, jitter, block=None):
-        self.kernel = kernel
+    def __init__(self, factor, repeats, data, L, alpha, jitter, block=None):
         self.factor = factor
         self.repeats = repeats
         self.data = data
@@ -200,7 +195,7 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
         del k_dc, k_cc  # the joint matrix holds copies; free them before factoring
     L, jitter = cholesky_jitter(gram)
     alpha = cho_solve((L, True), y).reshape(-1)
-    return GpModel(kernel, factor, repeats, data, L, alpha, jitter, block)
+    return GpModel(factor, repeats, data, L, alpha, jitter, block)
 
 
 def _check_out_dim(kernel, data):
@@ -320,8 +315,7 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
             theta = theta_of(z)
             model = fit_gp(data, kernel_family(theta), noise_variance=theta.noise_variance)
             lml = log_marginal_likelihood(model)
-        except (NotPositiveDefinite, ValueError, FloatingPointError,
-                np.linalg.LinAlgError, OverflowError):
+        except (NotPositiveDefinite, ValueError, OverflowError):
             lml = -np.inf
         if np.isnan(lml):
             lml = -np.inf
@@ -340,12 +334,14 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
         starts.append(np.array(z))
 
     best_z, best_val = None, np.inf
-    for z_start in starts:
-        res = minimize(objective, z_start, method="Nelder-Mead",
-                       options={"maxiter": cfg.maxiter, "xatol": XATOL,
-                                "fatol": FATOL, "adaptive": True})
-        if res.fun < best_val:
-            best_val, best_z = res.fun, res.x
+    # a failed evaluation scores inf: its overflow and the simplex's inf - inf are expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z_start in starts:
+            res = minimize(objective, z_start, method="Nelder-Mead",
+                           options={"maxiter": cfg.maxiter, "xatol": XATOL,
+                                    "fatol": FATOL, "adaptive": True})
+            if res.fun < best_val:
+                best_val, best_z = res.fun, res.x
     if best_z is None or not np.isfinite(best_val):
         raise RuntimeError("hyperparameter search failed on every restart")
     return FitResult(theta=theta_of(best_z), lml=-best_val, n_evals=n_evals)

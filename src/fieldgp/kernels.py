@@ -71,12 +71,6 @@ def se_derivative(idx, x, x2, theta):
     return float(MatrixKernelExpr(OperatorMatrix([[term]]), theta).eval(x, x2)[0, 0])
 
 
-def se_eval(x, x2, theta):
-    """Squared-exponential kernel value at a pair of points."""
-    zero = (0,) * np.shape(x)[-1]
-    return se_derivative((zero, zero), x, x2, theta)
-
-
 # ---------------------------------------------------------------------------
 # matrix-valued kernels
 
@@ -163,9 +157,6 @@ class MatrixKernelExpr:
     @property
     def entries(self):
         return tuple(tuple(poly.terms for poly in row) for row in self.operator.entries)
-
-    def is_zero(self):
-        return self.operator.is_zero()
 
     def eval(self, x, x2):
         """The (rows, cols) kernel matrix at one pair of points."""
@@ -258,26 +249,10 @@ def _curl_free_family():
 
 
 class SumKernel(MatrixKernelExpr):
-    """Entrywise sum of same-shape kernels at one theta: the sum of their operators.
-
-    No pipeline builds one.  The class stays because ``perfbench/spans.py``
-    wraps its ``eval_pairwise`` by class; drop it with the next benchmark
-    change.
+    """A sum of kernels is the kernel of their operators' sum; no pipeline
+    builds one.  The class stays because ``perfbench/spans.py`` wraps its
+    ``eval_pairwise`` by class; drop it with the next benchmark change.
     """
-
-    def __init__(self, parts):
-        if not parts:
-            raise ValueError("need at least one kernel")
-        if len({(k.shape, k.in_dim) for k in parts}) != 1:
-            raise DimensionMismatch("summands must share one shape and input dimension")
-        if len({k.theta for k in parts}) != 1:
-            raise ValueError("summands must share one theta")
-        entries = parts[0].operator.entries
-        for k in parts[1:]:
-            entries = [[p + q for p, q in zip(row, k_row)]
-                       for row, k_row in zip(entries, k.operator.entries)]
-        super().__init__(OperatorMatrix(entries), parts[0].theta)
-        self.in_dim = parts[0].in_dim
 
     eval_pairwise = MatrixKernelExpr.eval_pairwise
 
@@ -298,8 +273,6 @@ def transform_kernel(G, theta):
     result is :func:`covariance_operator` G adj(G) in d/dr applied to one
     SE kernel.
     """
-    if not isinstance(G, OperatorMatrix):
-        raise TypeError("G must be an OperatorMatrix")
     return MatrixKernelExpr(covariance_operator(G), theta)
 
 

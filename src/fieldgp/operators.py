@@ -164,23 +164,17 @@ class OperatorPoly:
     def __neg__(self):
         return OperatorPoly(self.p, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, OperatorPoly):
-            if other.p != self.p:
-                raise DimensionMismatch("variable counts differ")
-            prod = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    prod[mono] = prod.get(mono, 0) + c1 * c2
-            return OperatorPoly(self.p, prod)
-        other = exact(other)
-        return OperatorPoly(self.p, {m: c * other for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        if not isinstance(other, OperatorPoly):
+            return NotImplemented
+        if other.p != self.p:
+            raise DimensionMismatch("variable counts differ")
+        prod = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                prod[mono] = prod.get(mono, 0) + c1 * c2
+        return OperatorPoly(self.p, prod)
 
     def __eq__(self, other):
         return (
@@ -317,11 +311,6 @@ class OperatorMatrix:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def _json_int(value, key):
     """``value`` if it is a JSON integer (not a boolean), else a ValueError naming ``key``."""
@@ -409,8 +398,6 @@ def build_ansatz_system(F, monomials):
     operator identity does.  Commuting symbols make mixed products symmetrize
     automatically.
     """
-    if not isinstance(F, OperatorMatrix):
-        raise TypeError("F must be an OperatorMatrix")
     if any(len(mono) != F.vars for mono in monomials):
         raise DimensionMismatch(
             f"ansatz over {len(monomials[0])} variables, operator over {F.vars}"

@@ -4,6 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fieldgp.kernels import covariance_operator
+from fieldgp.operators import OperatorMatrix
+
 
 def fd_step(func, x, dim, h):
     """One central-difference level along a dimension."""
@@ -143,6 +146,14 @@ def multi_indices_up_to(dim, max_order):
         for combined in exponent_tuples(2 * dim, order):
             pairs.append((combined[:dim], combined[dim:]))
     return pairs
+
+
+def column_covariance_sum(G):
+    """Entrywise sum of the covariance operators of G's single columns."""
+    parts = [covariance_operator(OperatorMatrix([[G.entry(j, c)] for j in range(G.rows)]))
+             for c in range(G.cols)]
+    return OperatorMatrix([[sum((P.entry(i, j) for P in parts[1:]), parts[0].entry(i, j))
+                            for j in range(G.rows)] for i in range(G.rows)])
 
 
 @pytest.fixture(scope="session")

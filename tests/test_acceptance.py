@@ -49,7 +49,7 @@ def test_criterion_01_golden_nullspaces():
     expected_2d = OperatorMatrix([[dx(2, 1)], [dx(2, 0, -1)]])
     ratio = next(iter(g2.entry(0, 0).terms.values()))
     proportional = g2 == expected_2d or OperatorMatrix(
-        [[poly * -1 for poly in row] for row in expected_2d.entries]) == g2
+        [[-poly for poly in row] for row in expected_2d.entries]) == g2
     ok_a = g2 == expected_2d and proportional and ratio == 1
     # (b) curl: single gradient column
     ok_b = (g_curl.cols == 1

@@ -22,7 +22,7 @@ def dense_conditioning_oracle(data, F, pts, expr, Xstar):
     cross = apply_operator_to_expr(F, expr, side="right")
     both = apply_operator_to_expr(F, cross, side="left")
     k_dd = cross_gram(expr, data.inputs, data.inputs) \
-        + data.noise_std ** 2 * np.eye(data.n_points * data.out_dim)
+        + data.noise_std ** 2 * np.eye(len(data.inputs) * data.out_dim)
     k_dc = cross_gram(cross, data.inputs, pts)
     k_cc = cross_gram(both, pts, pts)
     k_oo = np.block([[k_dd, k_dc], [k_dc.T, k_cc]])

@@ -322,6 +322,32 @@ def test_run_real_data_zero_noise(tmp_path):
     assert all(r.n_ok == 2 and np.isfinite(r.mean) for r in report.rows)
 
 
+def test_artificial_alone_predicts_no_diagonal_model(monkeypatch, tmp_path):
+    # the diagonal hyperparameters are still fitted, as the pseudo-observation
+    # models condition that kernel, but no diagonal model is predicted; the
+    # artificial rows are those of a run that also reports the diagonal model
+    X, B = synthetic_curl_free_field(60, seed=13, noise_std=1e-3)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, X, B)
+    settings = dict(nc_schedule=(3, 6), train_size=20, test_size=30, repetitions=2,
+                    restarts=1, maxiter=15, noise_std=1e-3, seed=4)
+    calls = {"n": 0}
+    real_predict = experiments.predict
+
+    def counting_predict(*args, **kwargs):
+        calls["n"] += 1
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "predict", counting_predict)
+    alone = run_real_data(ExperimentConfig(methods=("artificial",), **settings), path)
+    assert calls["n"] == 0
+    both = run_real_data(ExperimentConfig(methods=("diagonal", "artificial"), **settings), path)
+    assert calls["n"] == settings["repetitions"]
+    assert [(r.method, r.nc) for r in alone.rows] == [("artificial", 3), ("artificial", 6)]
+    assert all(r.n_ok == 2 for r in alone.rows)
+    assert alone.rows == both.rows[1:]
+
+
 def test_run_real_data_split_sizes_enforced(tmp_path):
     X, B = synthetic_curl_free_field(99, seed=3)
     path = tmp_path / "short.csv"

@@ -243,7 +243,6 @@ def test_fit_deterministic_given_seed(rng):
     assert a.lml == b.lml
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_fit_all_restarts_fail(rng):
     # -1 applied to k: negative definite blocks, so factorization can never
     # succeed (the identity would take the Kronecker path, at +k)

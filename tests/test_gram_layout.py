@@ -18,14 +18,14 @@ from fieldgp.gp import assemble_gram, cross_gram
 from fieldgp.kernels import (
     CurlFreeKernel,
     DiagonalKernel,
+    MatrixKernelExpr,
     SeHyperparams,
-    SumKernel,
     apply_operator_to_expr,
     transform_kernel,
 )
-from fieldgp.operators import (OperatorMatrix, construct_g, make_curl_operator_3d,
-                               make_divergence_operator)
+from fieldgp.operators import construct_g, make_curl_operator_3d, make_divergence_operator
 
+from conftest import column_covariance_sum
 from kernel_reference import reference_pairwise
 
 # a short length scale next to points spread over [-3, 3], so some kernel
@@ -53,10 +53,8 @@ def _families():
         "curl_free": (3, CurlFreeKernel(THETA)),
         "diagonal2d": (2, DiagonalKernel(THETA, 2)),
         "diagonal3d": (3, DiagonalKernel(THETA, 3)),
-        # the sum of the single-column kernels of G3, at one theta
-        "per_column_sum": (3, SumKernel([
-            transform_kernel(OperatorMatrix([[G3.entry(j, c)] for j in range(3)]), THETA)
-            for c in range(G3.cols)])),
+        # the sum of the single-column kernels of G3: their operators' sum
+        "per_column_sum": (3, MatrixKernelExpr(column_covariance_sum(G3), THETA)),
     }
     # the cov(f, F[f]) and cov(F[f], F[f]) expressions baseline.augment builds
     for name, F, dim in (("div2d", make_divergence_operator(2), 2),

@@ -16,14 +16,12 @@ from fieldgp.kernels import (
     DiagonalKernel,
     MatrixKernelExpr,
     SeHyperparams,
-    SumKernel,
     apply_operator_to_expr,
     covariance_operator,
     field_family,
     identity_factor,
     kernel_family_from_spec,
     se_derivative,
-    se_eval,
     transform_kernel,
 )
 from fieldgp.operators import (
@@ -37,8 +35,8 @@ from fieldgp.operators import (
     symbolic_product,
 )
 
-from conftest import (fd_operator_rows, mp_diff_se_derivative, mp_se_derivative,
-                      multi_indices_up_to)
+from conftest import (column_covariance_sum, fd_operator_rows, mp_diff_se_derivative,
+                      mp_se_derivative, multi_indices_up_to)
 from kernel_reference import curl_free_closed_form, reference_pairwise
 
 THETA = SeHyperparams(signal_variance=1.3, length_scale=0.8)
@@ -50,34 +48,44 @@ def gradient_operator_3d():
                            [OperatorPoly.monomial(3, (0, 0, 1))]])
 
 
+def se_direct(x, x2, theta):
+    """The SE kernel value from its formula."""
+    return theta.signal_variance * np.exp(
+        -0.5 * np.sum((x - x2) ** 2) / theta.length_scale ** 2)
+
+
+def se_value(x, x2, theta):
+    """The SE kernel value as its derivative of order zero."""
+    zero = (0,) * len(x)
+    return se_derivative((zero, zero), x, x2, theta)
+
+
 # ---------------------------------------------------------------------------
 # scalar kernel and derivatives
 
 
 def test_se_eval_zero_distance():
     x = np.array([0.3, -1.2])
-    assert se_eval(x, x, THETA) == pytest.approx(THETA.signal_variance)
+    assert se_value(x, x, THETA) == pytest.approx(THETA.signal_variance)
 
 
 def test_se_eval_unit_case():
     theta = SeHyperparams(1.0, 1.0)
     x, x2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])  # distance sqrt(2)
-    assert se_eval(x, x2, theta) == pytest.approx(np.exp(-1.0))
+    assert se_value(x, x2, theta) == pytest.approx(np.exp(-1.0))
 
 
 def test_se_eval_matches_direct_formula(rng):
     for _ in range(20):
         x, x2 = rng.normal(size=3), rng.normal(size=3)
-        direct = THETA.signal_variance * np.exp(
-            -0.5 * np.sum((x - x2) ** 2) / THETA.length_scale ** 2)
-        assert se_eval(x, x2, THETA) == pytest.approx(direct, rel=1e-14)
-        assert se_eval(x, x2, THETA) == pytest.approx(se_eval(x2, x, THETA))
+        assert se_value(x, x2, THETA) == pytest.approx(se_direct(x, x2, THETA), rel=1e-14)
+        assert se_value(x, x2, THETA) == pytest.approx(se_value(x2, x, THETA))
 
 
 def test_se_derivative_zeroth_order(rng):
     x, x2 = rng.normal(size=2), rng.normal(size=2)
     idx = ((0, 0), (0, 0))
-    assert se_derivative(idx, x, x2, THETA) == pytest.approx(se_eval(x, x2, THETA))
+    assert se_derivative(idx, x, x2, THETA) == pytest.approx(se_direct(x, x2, THETA))
 
 
 def test_se_derivative_odd_order_vanishes_at_coincidence():
@@ -183,7 +191,7 @@ def test_transform_kernel_identity_is_base_kernel(rng):
     eye = OperatorMatrix([[OperatorPoly.constant(2, 1)]])
     expr = transform_kernel(eye, THETA)
     x, x2 = rng.normal(size=2), rng.normal(size=2)
-    assert expr.eval(x, x2)[0, 0] == pytest.approx(se_eval(x, x2, THETA))
+    assert expr.eval(x, x2)[0, 0] == pytest.approx(se_direct(x, x2, THETA))
 
 
 def test_transform_kernel_gradient_structure():
@@ -277,7 +285,7 @@ def test_curl_free_kernel_is_an_expression():
     # operators act on it, and the curl of a gradient field cancels exactly
     kernel = CurlFreeKernel(THETA)
     assert isinstance(kernel, MatrixKernelExpr)
-    assert apply_operator_to_expr(make_curl_operator_3d(), kernel, side="left").is_zero()
+    assert apply_operator_to_expr(make_curl_operator_3d(), kernel, side="left").operator.is_zero()
 
 
 def test_curl_free_closed_form_decay():
@@ -403,32 +411,22 @@ def test_identity_factor_is_keyed_on_the_operator():
         assert repeats == kernel.shape[0]
     twice = MatrixKernelExpr(OperatorMatrix([[OperatorPoly.constant(2, 2)]]), THETA)
     for kernel in (CurlFreeKernel(THETA), transform_kernel(
-            construct_g(make_divergence_operator(2))[0], THETA), twice,
-            SumKernel([DiagonalKernel(THETA, 2)] * 2)):
+            construct_g(make_divergence_operator(2))[0], THETA), twice):
         assert identity_factor(kernel) is None
 
 
-def test_sum_kernel_is_the_operator_sum(rng):
-    # the per-column kernels of the div-3D G sum to its covariance operator,
-    # evaluate bitwise as transform_kernel does, and compose with operators
+def test_sum_kernel_is_the_operator_sum():
+    # a sum of kernels is the kernel of their operators' sum: the covariance
+    # operators of the div-3D G's columns, each nonzero and short of the
+    # total, sum entrywise to G adj(G), which the divergence annihilates
     div3 = make_divergence_operator(3)
     G3, _ = construct_g(div3)
-    column_ops = [OperatorMatrix([[G3.entry(j, c)] for j in range(3)]) for c in range(G3.cols)]
-    summed = SumKernel([transform_kernel(col, THETA) for col in column_ops])
-    assert summed.operator == covariance_operator(G3)
-    assert (summed.shape, summed.theta, summed.in_dim) == ((3, 3), THETA, 3)
-    X, X2 = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
-    a = summed.eval_pairwise(X, X2)
-    b = transform_kernel(G3, THETA).eval_pairwise(X, X2)
-    assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert apply_operator_to_expr(div3, summed, "left").is_zero()
-    other = SeHyperparams(signal_variance=0.4, length_scale=2.5)
-    for parts in ([],
-                  [transform_kernel(column_ops[0], THETA), transform_kernel(column_ops[1], other)],
-                  [DiagonalKernel(THETA, 2), DiagonalKernel(THETA, 3)],
-                  [DiagonalKernel(THETA, 2), DiagonalKernel(THETA, 2, in_dim=2)]):
-        with pytest.raises(ValueError):
-            SumKernel(parts)
+    for c in range(G3.cols):
+        column = covariance_operator(OperatorMatrix([[G3.entry(j, c)] for j in range(3)]))
+        assert not column.is_zero() and column != covariance_operator(G3)
+    summed = column_covariance_sum(G3)
+    assert summed == covariance_operator(G3)
+    assert symbolic_product(div3, summed).is_zero()
 
 
 def test_diagonal_kernel_without_in_dim_takes_no_operator():
@@ -449,7 +447,7 @@ def test_diagonal_kernel_values(rng):
     k = DiagonalKernel(THETA, 3).eval(x, x2)
     assert k[0, 1] == k[1, 0] == k[0, 2] == 0.0
     assert DiagonalKernel(THETA, 1).eval(x, x2)[0, 0] == pytest.approx(
-        se_eval(x, x2, THETA))
+        se_direct(x, x2, THETA))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +458,8 @@ def test_apply_operator_divergence_free_cancels():
     F = make_divergence_operator(2)
     G, _ = construct_g(F)
     expr = transform_kernel(G, THETA)
-    assert apply_operator_to_expr(F, expr, side="left").is_zero()
-    assert apply_operator_to_expr(F, expr, side="right").is_zero()
+    assert apply_operator_to_expr(F, expr, side="left").operator.is_zero()
+    assert apply_operator_to_expr(F, expr, side="right").operator.is_zero()
 
 
 def test_apply_operator_identity_left():
@@ -536,8 +534,9 @@ def test_apply_operator_order_two_constraint_cancels():
     expr = transform_kernel(G, THETA)                            # order 4
     left = apply_operator_to_expr(F, expr, side="left")          # order 6
     both = apply_operator_to_expr(F, left, side="right")         # order 8
-    assert left.is_zero() and both.is_zero()
-    assert not apply_operator_to_expr(F, DiagonalKernel(THETA, 2, in_dim=2), "left").is_zero()
+    assert left.operator.is_zero() and both.operator.is_zero()
+    assert not apply_operator_to_expr(F, DiagonalKernel(THETA, 2, in_dim=2),
+                                      "left").operator.is_zero()
 
 
 def _integer_operator(draw, dim, rows, cols):
@@ -569,7 +568,8 @@ def test_annihilation_is_decided_by_f_g(pair, sv, ls):
     # vanishes, so does (F G)(F G)^H at every i xi, hence F G itself
     F, G = pair
     kernel = transform_kernel(G, SeHyperparams(sv, ls))
-    assert symbolic_product(F, G).is_zero() == apply_operator_to_expr(F, kernel, "left").is_zero()
+    assert (symbolic_product(F, G).is_zero()
+            == apply_operator_to_expr(F, kernel, "left").operator.is_zero())
 
 
 def test_order_six_expression_matches_mpmath(rng):

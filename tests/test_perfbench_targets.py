@@ -135,7 +135,7 @@ def test_traced_pipelines_fill_the_layer_counters(tmp_path):
 def test_constraint_residual_probe_runs(tmp_path, workload):
     # verify.py calls fieldgp directly, not through the CLI: DiagonalKernel
     # without in_dim, fit_hyperparameters on a family callable, and
-    # construct_g's (G, solution) pair
+    # construct_g's (G, degrees) pair
     workloads = _load_perfbench("workloads")
     verify = _load_perfbench("verify")
     inputs = workloads.make_inputs(workloads.WORKLOADS[workload], 1, str(tmp_path))
