@@ -178,6 +178,8 @@ def _cmd_predict(args):
 
 def _write_predictions(path, points, result):
     k = result.means.shape[1]
+    # solved on this read, which can fail: before the file is created
+    variances = result.marginal_variances
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(points.shape[1])]
@@ -186,7 +188,7 @@ def _write_predictions(path, points, result):
         for a in range(points.shape[0]):
             writer.writerow([repr(float(v)) for v in points[a]]
                             + [repr(float(v)) for v in result.means[a]]
-                            + [repr(float(v)) for v in result.marginal_variances[a]])
+                            + [repr(float(v)) for v in variances[a]])
 
 
 _COMMANDS = {

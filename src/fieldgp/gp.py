@@ -11,13 +11,18 @@ When the kernel is the constant K x K identity applied to a scalar
 kernel k (the independent-output kernel) and nothing but the data is
 conditioned on, the noisy Gram matrix is kron(K_k + noise I, I_K) in
 point-major layout: ``fit_gp`` then factors the N x N matrix once and
-solves it for all K output columns together, and ``predict`` shares one
-variance solve between the components.  Every other model factors the
-dense NK x NK matrix.
+solves it for all K output columns together, and a prediction's
+variances share one triangular solve between the components.  Every
+other model factors the dense NK x NK matrix.
+
+``predict`` computes only the posterior means, which need the weights
+K^-1 y alone; the variances and the covariance also need a triangular
+solve against every prediction column, and are solved for when first read.
 """
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -75,13 +80,40 @@ class Dataset:
         return self.outputs.reshape(-1)
 
 
-@dataclass
 class PredictionResult:
-    """Posterior means and marginal variances, both (M, K)."""
+    """The posterior of a fitted :class:`GpModel` at M new points.
 
-    means: np.ndarray
-    marginal_variances: np.ndarray
-    covariance: np.ndarray | None = None
+    ``means`` (M, K) is computed by :func:`predict`.  ``marginal_variances``
+    (M, K) and ``covariance`` (MK, MK) also need v = L^-1 C^T, a triangular
+    solve against every prediction column of the cross-covariance C: it
+    runs when either is first read, once, and both share its v.  Reading
+    them leaves the model unchanged.
+    """
+
+    def __init__(self, model, points, means):
+        self.model = model
+        self.points = points
+        self.means = means
+
+    @cached_property
+    def _v(self):
+        C = _cross_covariance(self.model, self.points)
+        # C is not used again: the solve reuses its memory
+        return solve_triangular(self.model.L, C.T, lower=True, overwrite_b=True)
+
+    @cached_property
+    def marginal_variances(self):
+        model, m = self.model, self.points.shape[0]
+        # stationary kernels: k(x, x) is k(0, 0) at every point
+        origin = np.zeros(self.points.shape[1])
+        prior_diag = np.tile(np.diag(model.factor.eval(origin, origin)), m)
+        variances = prior_diag - np.sum(np.square(self._v), axis=0)
+        return np.repeat(_clamp_variances(variances), model.repeats).reshape(self.means.shape)
+
+    @cached_property
+    def covariance(self):
+        prior_full = cross_gram(self.model.factor, self.points, self.points)
+        return np.kron(prior_full - self._v.T @ self._v, np.eye(self.model.repeats))
 
 
 def assemble_gram(kernel, X, noise_variance=0.0):
@@ -194,6 +226,9 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
         y = np.concatenate([y, np.zeros((k_cc.shape[0], 1))])
         del k_dc, k_cc  # the joint matrix holds copies; free them before factoring
     L, jitter = cholesky_jitter(gram)
+    # cho_solve's finiteness check stays: at a huge signal variance a kernel
+    # value can overflow to inf or nan, np.linalg.cholesky then returns a
+    # non-finite factor without raising, and this check is what rejects it
     alpha = cho_solve((L, True), y).reshape(-1)
     return GpModel(factor, repeats, data, L, alpha, jitter, block)
 
@@ -218,29 +253,22 @@ def log_marginal_likelihood(model):
     )
 
 
-def predict(model, Xstar, full_cov=False):
-    """Posterior mean and marginal variance of the field at new points."""
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    m, k_out, repeats = Xstar.shape[0], model.data.out_dim, model.repeats
+def predict(model, Xstar):
+    """Posterior mean of the field at new points; variances are solved on first read."""
+    # a private copy: the variances are computed from it later
+    Xstar = np.array(Xstar, dtype=float, ndmin=2)
+    # the only check between a non-finite kernel value and the means
+    C = np.asarray_chkfinite(_cross_covariance(model, Xstar))
+    means = (C @ model.alpha.reshape(-1, model.repeats)).reshape(len(Xstar), model.data.out_dim)
+    return PredictionResult(model, Xstar, means)
+
+
+def _cross_covariance(model, Xstar):
+    """cov(f(Xstar), joint observations): the data columns, then the block's."""
     C = cross_gram(model.factor, Xstar, model.data.inputs)
     if model.block is not None:
         C = np.hstack([C, cross_gram(model.block.cross, Xstar, model.block.points)])
-    means = (C @ model.alpha.reshape(-1, repeats)).reshape(m, k_out)
-    # C is not used again: the solve and the square reuse its memory
-    v = solve_triangular(model.L, C.T, lower=True, overwrite_b=True)
-    covariance = None
-    if full_cov:
-        prior_full = cross_gram(model.factor, Xstar, Xstar)
-        covariance = np.kron(prior_full - v.T @ v, np.eye(repeats))
-    # stationary kernels: k(x, x) is k(0, 0) at every point
-    origin = np.zeros(Xstar.shape[1])
-    prior_diag = np.tile(np.diag(model.factor.eval(origin, origin)), m)
-    variances = prior_diag - np.sum(np.square(v, out=v), axis=0)
-    return PredictionResult(
-        means=means,
-        marginal_variances=np.repeat(_clamp_variances(variances), repeats).reshape(m, k_out),
-        covariance=covariance,
-    )
+    return C
 
 
 def _clamp_variances(var):

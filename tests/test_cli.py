@@ -536,6 +536,24 @@ def test_predict_every_fit_evaluation_fails_exit_1(tmp_path, capsys):
     assert not (tmp_path / "pred.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_predict_non_finite_cross_covariance_exit_1(tmp_path, capsys):
+    # at signal variance 1e300 the kernel far from the data is nan, as
+    # kernels._eval_block multiplies sv by the Hermite factor before the
+    # exponential: the means must not be written as nan with exit 0
+    X, B = synthetic_curl_free_field(10, seed=4)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    (tmp_path / "points.csv").write_text("x1,x2,x3\n100000.0,1.0,1.0\n")
+    spec = write_json(tmp_path / "kernel.json", {
+        "type": "curl_free_3d", "hyperparams": {**_HYPER, "signal_variance": 1e300}})
+    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
+                 "--points", str(tmp_path / "points.csv"),
+                 "--out", str(tmp_path / "pred.csv"), "--no-fit"])
+    assert code == 1
+    assert capsys.readouterr().err == "fieldgp: error: array must not contain infs or NaNs\n"
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def _div_doc(**changes):
     """The 2-D divergence spec with top-level keys replaced."""
     return {**make_divergence_operator(2).to_json_dict(), **changes}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fieldgp.experiments as experiments
+import fieldgp.gp as gp
 from fieldgp.experiments import (
     ExperimentConfig,
     FieldErrorTable,
@@ -346,6 +347,35 @@ def test_artificial_alone_predicts_no_diagonal_model(monkeypatch, tmp_path):
     assert [(r.method, r.nc) for r in alone.rows] == [("artificial", 3), ("artificial", 6)]
     assert all(r.n_ok == 2 for r in alone.rows)
     assert alone.rows == both.rows[1:]
+
+
+def _every_method_simulated(tmp_path):
+    return lambda: run_simulated(ExperimentConfig(**{**TINY_SIM, "repetitions": 1}))
+
+
+def _every_method_real_data(tmp_path):
+    X, B = synthetic_curl_free_field(50, seed=17, noise_std=1e-3)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, X, B)
+    config = ExperimentConfig(methods=("diagonal", "curl_free", "artificial"),
+                              nc_schedule=(0, 5), train_size=20, test_size=20,
+                              repetitions=1, restarts=1, maxiter=15, noise_std=1e-3)
+    return lambda: run_real_data(config, path)
+
+
+@pytest.mark.parametrize("pipeline", [_every_method_simulated, _every_method_real_data],
+                         ids=["run_simulated", "run_real_data"])
+def test_pipelines_run_no_variance_solve(monkeypatch, tmp_path, pipeline):
+    # the reports read only posterior means, which need no triangular solve
+    # against the prediction points
+    def variance_solve(*args, **kwargs):
+        raise AssertionError("a pipeline ran the variance solve")
+
+    run = pipeline(tmp_path)
+    expected = run()
+    assert len(expected.rows) == 4 and all(r.n_ok == 1 for r in expected.rows)
+    monkeypatch.setattr(gp, "solve_triangular", variance_solve)
+    assert run().rows == expected.rows
 
 
 def test_run_real_data_split_sizes_enforced(tmp_path):

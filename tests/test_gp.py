@@ -27,6 +27,7 @@ from fieldgp.operators import (OperatorMatrix, OperatorPoly, construct_g, make_c
                                make_divergence_operator)
 
 from conftest import fd_divergence
+from predict_reference import eager_predict
 
 THETA = SeHyperparams(1.0, 1.0)
 
@@ -323,7 +324,7 @@ def test_predict_full_covariance_consistent(rng):
     Y = rng.standard_normal((6, 1))
     model = fit_gp(Dataset(X, Y, 0.1), kernel)
     Xs = rng.uniform(0, 2, size=(4, 2))
-    pred = predict(model, Xs, full_cov=True)
+    pred = predict(model, Xs)
     assert pred.covariance.shape == (4, 4)
     assert np.allclose(np.diag(pred.covariance),
                        pred.marginal_variances.reshape(-1), atol=1e-12)
@@ -331,7 +332,7 @@ def test_predict_full_covariance_consistent(rng):
 
 @pytest.mark.parametrize("case", ["plain", "block", "full_cov"])
 def test_predict_leaves_model_unchanged_and_repeats(rng, case):
-    # predict solves and squares in place of its cross-covariance; the
+    # reading the variances solves in place of a cross-covariance; the
     # factor, the weights and a second call must not see that
     X = rng.uniform(0, 3, size=(12, 2))
     data = Dataset(X, rng.standard_normal((12, 2)), noise_std=0.1)
@@ -345,15 +346,75 @@ def test_predict_leaves_model_unchanged_and_repeats(rng, case):
     L, alpha = model.L.copy(), model.alpha.copy()
     Xs = rng.uniform(0, 3, size=(7, 2))
     full_cov = case == "full_cov"
-    first = predict(model, Xs, full_cov=full_cov)
-    second = predict(model, Xs, full_cov=full_cov)
-    assert np.array_equal(model.L, L) and np.array_equal(model.alpha, alpha)
-    assert np.array_equal(first.means, second.means)
-    assert np.array_equal(first.marginal_variances, second.marginal_variances)
+    first = predict(model, Xs)
+    second = predict(model, Xs)
     if full_cov:
         assert np.array_equal(first.covariance, second.covariance)
+    assert np.array_equal(first.means, second.means)
+    assert np.array_equal(first.marginal_variances, second.marginal_variances)
+    assert np.array_equal(model.L, L) and np.array_equal(model.alpha, alpha)
+    if full_cov:
         assert np.allclose(np.diag(first.covariance),
                            first.marginal_variances.reshape(-1), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["plain", "kronecker", "block"])
+def test_variances_solved_on_read_match_eager_prediction(rng, case):
+    # the covariance and the variances, read in either order, are bit for bit
+    # those of the eager prediction; the points are copied at the call
+    X = rng.uniform(0, 3, size=(12, 2))
+    data = Dataset(X, rng.standard_normal((12, 2)), noise_std=0.1)
+    if case == "plain":
+        model = fit_gp(data, divfree_kernel())
+    elif case == "kronecker":
+        model = fit_gp(data, DiagonalKernel(THETA, 2))
+        assert model.repeats == 2
+    else:
+        model = augment(data, make_divergence_operator(2),
+                        rng.uniform(0, 3, size=(5, 2)), DiagonalKernel(THETA, 2, in_dim=2))
+    L, alpha = model.L.copy(), model.alpha.copy()
+    Xs = rng.uniform(0, 3, size=(7, 2))
+    means, variances, covariance = eager_predict(model, Xs, full_cov=True)
+    caller_points = Xs.copy()
+    cov_first, var_first = predict(model, caller_points), predict(model, Xs)
+    caller_points[:] = 0.0
+    assert cov_first.covariance.shape == (14, 14)
+    assert var_first.marginal_variances.shape == (7, 2)
+    for pred in (cov_first, var_first):
+        assert np.array_equal(pred.means, means)
+        assert np.array_equal(pred.marginal_variances, variances)
+        assert np.array_equal(pred.covariance, covariance)
+    assert np.array_equal(model.L, L) and np.array_equal(model.alpha, alpha)
+
+
+class _PoisonedCross:
+    """A kernel with ``value`` in one entry of every block it evaluates."""
+
+    def __init__(self, kernel, value):
+        self.kernel, self.value = kernel, value
+
+    def eval_pairwise(self, X1, X2):
+        k = self.kernel.eval_pairwise(X1, X2)
+        k[-1, 0, -1, 0] = self.value
+        return k
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["data", "block"])
+def test_predict_rejects_non_finite_cross_covariance(rng, value, where):
+    # the means need no triangular solve, whose finiteness check would
+    # otherwise be the only one between a non-finite kernel value and them
+    X = rng.uniform(0, 3, size=(8, 2))
+    data = Dataset(X, rng.standard_normal((8, 2)), noise_std=0.1)
+    if where == "data":
+        model = fit_gp(data, divfree_kernel())
+        model.factor = _PoisonedCross(model.factor, value)
+    else:
+        model = augment(data, make_divergence_operator(2),
+                        rng.uniform(0, 3, size=(3, 2)), DiagonalKernel(THETA, 2, in_dim=2))
+        model.block = model.block._replace(cross=_PoisonedCross(model.block.cross, value))
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        predict(model, rng.uniform(0, 3, size=(4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +475,7 @@ def test_kronecker_path_matches_dense_oracle(problem):
 
     C = cross_gram(kernel, Xs, X)
     cov = cross_gram(kernel, Xs, Xs) - C @ np.linalg.solve(A, C.T)
-    pred = predict(model, Xs, full_cov=True)
+    pred = predict(model, Xs)
     np.testing.assert_allclose(pred.means.reshape(-1), C @ alpha, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(pred.covariance, cov, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(pred.marginal_variances.reshape(-1),
