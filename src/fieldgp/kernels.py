@@ -6,7 +6,8 @@ d/dx' = -d/dr.  Every matrix kernel here is an operator matrix in d/dr
 applied to one SE kernel: entry (i, j) is P_ij(d/dr) k.  Each monomial
 has a closed form, a product of probabilists' Hermite polynomials in
 r_d / l times the kernel itself, and one evaluator turns the matrix into
-numbers.
+numbers.  The operator is compiled once, free of theta; sv multiplies
+the SE factor last.
 
 Kernel algebra is operator-matrix algebra (:func:`fieldgp.operators.
 symbolic_product`).  The covariance of ``f = G[g]`` for a scalar prior on
@@ -14,12 +15,13 @@ g is G adj(G) (:func:`covariance_operator`), where adj transposes and
 maps d to -d because its operators act on the second argument; applying
 F to the first argument of P gives F P, to the second P adj(F).
 :func:`transform_kernel` gives g the signal variance sv; a constraint's
-:func:`field_family` gives it to the field, g getting sv l^(2q) for a G of
-degree q.  The curl-free kernel is the curl's field family (G is the
-gradient), the diagonal kernel the constant identity (G = I).
+:func:`field_family` gives it to the field, applying G adj(G) to
+l^(2q) k for a G of degree q.  The curl-free kernel is the curl's field
+family (G is the gradient), the diagonal kernel the constant identity
+(G = I).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -36,8 +38,9 @@ class SeHyperparams:
     noise_variance: float = 0.0
 
     def __post_init__(self):
-        if not (self.signal_variance > 0 and np.isfinite(self.signal_variance)):
-            raise ValueError("signal_variance must be positive and finite")
+        if not np.finfo(float).tiny <= self.signal_variance < np.inf:
+            raise ValueError(f"signal_variance {self.signal_variance!r} is not a "
+                             "positive normal float")
         if not (self.length_scale > 0 and np.isfinite(self.length_scale)):
             raise ValueError("length_scale must be positive and finite")
         if not (self.noise_variance >= 0 and np.isfinite(self.noise_variance)):
@@ -80,45 +83,49 @@ def se_derivative(idx, x, x2, theta):
 _BLOCK_PAIRS = 1 << 14
 
 
-def _compile(operator, theta):
-    """(plan, highest Hermite order per dimension) for an operator applied to k.
+@cache
+def _compile(operator, order):
+    """(plan, highest Hermite order per dimension) for an operator applied to l^order k.
 
     Plan entries are (i, j, source, terms) for the nonzero entries: terms
-    is a sorted tuple of (gamma, coeff) with gamma a sparse multi-index of
-    (dimension, order) pairs, so with u = (x - x')/l the entry is
-    sum coeff * prod_{(d, n) in gamma} He_n(u_d) * exp(-|u|^2/2); source is
-    an earlier entry with identical terms, whose values are copied, or None.
-    Every coefficient must be a normal float: one that under- or overflows
-    in the fold would evaluate the wrong kernel.
+    is a sorted tuple of (gamma, coeff, power) with gamma a sparse
+    multi-index of (dimension, order) pairs, so with u = (x - x')/l the
+    entry is sum coeff l^power prod_{(d, n) in gamma} He_n(u_d) times
+    sv exp(-|u|^2/2); source is an earlier entry with identical terms,
+    whose values are copied, or None.  Free of theta, so compiled once per
+    distinct operator, of which a process builds a handful.
     """
-    sv, ell = theta.signal_variance, theta.length_scale
     plan, first, orders = [], {}, {}
     for i, row in enumerate(operator.entries):
         for j, poly in enumerate(row):
             terms = tuple(sorted(
                 (tuple((d, n) for d, n in enumerate(mono) if n),
-                 float(-c if sum(mono) % 2 else c) * sv * ell ** -sum(mono))
+                 float(-c if sum(mono) % 2 else c), order - sum(mono))
                 for mono, c in poly.terms.items()))
-            if not all(np.finfo(float).tiny <= abs(coeff) < np.inf for _, coeff in terms):
-                raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put an "
-                                 "operator coefficient outside the normal float range")
             if terms:
                 source = first.setdefault(terms, (i, j))
                 plan.append((i, j, None if source == (i, j) else source, terms))
-                for d, n in (g for gamma, _ in terms for g in gamma):
+                for d, n in (g for gamma, _, _ in terms for g in gamma):
                     orders[d] = max(orders.get(d, 0), n)
-    return plan, orders
+    return tuple(plan), tuple(orders.items())
 
 
-def _eval_block(plan, orders, ell, X, X2, out):
-    """Write the compiled entries for the pairs of X and X2 into ``out``."""
+def _eval_block(plan, orders, theta, X, X2, out):
+    """Write the compiled entries for the pairs of X and X2 into ``out``.
+
+    Where the SE factor underflows to 0 the entry is 0, though u or a
+    Hermite factor may have overflowed there.
+    """
+    ell = np.float64(theta.length_scale)  # so that l^power overflows to inf, not an error
     u = [np.subtract.outer(X[:, d], X2[:, d]) / ell for d in range(X.shape[1])]
     k = u[0] * u[0]
     for u_d in u[1:]:
         k += u_d * u_d
     k = np.exp(-0.5 * k)
+    k *= theta.signal_variance
+    zero = None if k.all() else k == 0
     hermite = {}
-    for d, top in orders.items():
+    for d, top in orders:
         h_prev, h = 1.0, u[d]
         hermite[d, 1] = h
         for n in range(2, top + 1):  # He_n = u He_{n-1} - (n-1) He_{n-2}
@@ -129,11 +136,14 @@ def _eval_block(plan, orders, ell, X, X2, out):
             out[:, i, :, j] = out[:, source[0], :, source[1]]
             continue
         value = None
-        for gamma, coeff in terms:
+        for gamma, coeff, power in terms:
+            coeff = coeff * ell ** power
             for g in gamma:
                 coeff = coeff * hermite[g]
             value = coeff if value is None else value + coeff
         np.multiply(value, k, out=out[:, i, :, j])
+        if zero is not None:
+            out[:, i, :, j][zero] = 0.0
 
 
 class MatrixKernelExpr:
@@ -143,16 +153,17 @@ class MatrixKernelExpr:
     stays symbolic, so further operators compose with it and an identity
     like "divergence of a divergence-free kernel" cancels to the zero
     matrix.  ``entries`` is its grid of terms dicts (monomial exponents
-    -> coefficient).  A monomial g evaluates by
-    d^g/dr^g k = (-1)^|g| sv l^-|g| prod_d He_{g_d}(u_d) k/sv.
+    -> coefficient).  The operator applies to l^order k, so a monomial g
+    evaluates by d^g/dr^g l^order k = (-1)^|g| l^(order-|g|) prod_d
+    He_{g_d}(u_d) k.
     """
 
-    def __init__(self, operator, theta):
+    def __init__(self, operator, theta, order=0):
         self.operator = operator
         self.in_dim = operator.vars
         self.shape = (operator.rows, operator.cols)
         self.theta = theta
-        self._plan = None
+        self.order = order
 
     @property
     def entries(self):
@@ -176,14 +187,13 @@ class MatrixKernelExpr:
         dim = X.shape[1]
         if X2.shape[1] != dim or self.in_dim not in (None, dim):
             raise DimensionMismatch("point dimension does not match kernel")
-        if self._plan is None:
-            self._plan = _compile(self.operator, self.theta)
+        plan, orders = _compile(self.operator, self.order)
         rows, cols = self.shape
         out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
         step = max(1, _BLOCK_PAIRS // max(X2.shape[0], 1))
-        for lo in range(0, X.shape[0], step):
-            _eval_block(*self._plan, self.theta.length_scale,
-                        X[lo:lo + step], X2, out[lo:lo + step])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, X.shape[0], step):
+                _eval_block(plan, orders, self.theta, X[lo:lo + step], X2, out[lo:lo + step])
         return out
 
 
@@ -224,7 +234,7 @@ def identity_factor(kernel):
     so a profiler wrapping that family's ``eval_pairwise`` still times it.
     """
     rows = kernel.shape[0]
-    if kernel.operator != identity_operator(rows, kernel.operator.vars):
+    if kernel.order or kernel.operator != identity_operator(rows, kernel.operator.vars):
         return None
     return DiagonalKernel(kernel.theta, 1, kernel.in_dim), rows
 
@@ -237,8 +247,7 @@ class CurlFreeKernel(MatrixKernelExpr):
 
     def __init__(self, theta):
         kernel = _curl_free_family()(theta)
-        super().__init__(kernel.operator, kernel.theta)
-        self._plan = kernel._plan
+        super().__init__(kernel.operator, theta, kernel.order)
 
     eval_pairwise = MatrixKernelExpr.eval_pairwise
 
@@ -277,31 +286,12 @@ def transform_kernel(G, theta):
 
 
 def field_family(G):
-    """theta -> :func:`transform_kernel` of G at potential variance sv l^(2q), q
-    G's highest derivative order, so that sv is the field's variance.  A
-    potential variance or a folded operator coefficient that is not a normal
-    float raises a ``ValueError`` that names theta.
+    """theta -> G adj(G) applied to l^(2q) k, q G's highest derivative order:
+    :func:`transform_kernel` with g's variance sv l^(2q), so that sv is the
+    field's variance.
     """
-    P, q = covariance_operator(G), G.max_degree()
-
-    def family(theta):
-        sv, ell = theta.signal_variance, theta.length_scale
-        try:
-            potential_sv = sv * ell ** (2 * q)
-        except OverflowError:
-            potential_sv = np.inf
-        if not np.finfo(float).tiny <= potential_sv < np.inf:
-            raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put "
-                             f"sv*l^{2 * q} outside the normal float range")
-        kernel = MatrixKernelExpr(P, replace(theta, signal_variance=potential_sv))
-        try:  # compiled here, so that the error names theta rather than theta'
-            kernel._plan = _compile(P, kernel.theta)
-        except ValueError:
-            raise ValueError(f"signal_variance {sv!r} and length_scale {ell!r} put an "
-                             "operator coefficient outside the normal float range") from None
-        return kernel
-
-    return family
+    P, order = covariance_operator(G), 2 * G.max_degree()
+    return lambda theta: MatrixKernelExpr(P, theta, order)
 
 
 def apply_operator_to_expr(F, expr, side):
@@ -316,8 +306,9 @@ def apply_operator_to_expr(F, expr, side):
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if side == "left":
-        return MatrixKernelExpr(symbolic_product(F, expr.operator), expr.theta)
-    return MatrixKernelExpr(symbolic_product(expr.operator, _adjoint(F)), expr.theta)
+        return MatrixKernelExpr(symbolic_product(F, expr.operator), expr.theta, expr.order)
+    return MatrixKernelExpr(symbolic_product(expr.operator, _adjoint(F)), expr.theta,
+                            expr.order)
 
 
 def _adjoint(F):

@@ -183,6 +183,9 @@ class OperatorPoly:
             and self.terms == other.terms
         )
 
+    def __hash__(self):
+        return hash((self.p, frozenset(self.terms.items())))
+
     def __repr__(self):
         return f"OperatorPoly({self.render()!r})"
 
@@ -247,6 +250,9 @@ class OperatorMatrix:
             isinstance(other, OperatorMatrix)
             and self.entries == other.entries
         )
+
+    def __hash__(self):
+        return hash(self.entries)
 
     def __repr__(self):
         return f"OperatorMatrix({self.rows}x{self.cols}, vars={self.vars})"

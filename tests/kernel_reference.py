@@ -75,9 +75,8 @@ def term_loop(expr, X, X2):
 def reference_pairwise(kernel, theta, X, X2):
     """Kernel values in the (N1, N2, rows, cols) layout, computed the old way.
 
-    ``theta`` is the one the kernel was built from: the closed forms take
-    the field's variance, which a curl-free kernel's own ``theta`` carries
-    as the potential's, sv l^2.
+    ``theta`` is the one the kernel was built from; the closed forms take
+    its signal variance as the field's.
     """
     if isinstance(kernel, CurlFreeKernel):
         return curl_free_closed_form(theta, X, X2)

@@ -393,8 +393,6 @@ _IDENTITY_3D = {"vars": 3, "rows": 3, "cols": 3, "entries": [
                    "f_operator": make_curl_operator_3d().to_json_dict(),
                    "max_degree": value, "hyperparams": _HYPER})
       for value in _NOT_INTEGERS],
-    ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e200}}),
-    ("predict", {"type": "curl_free_3d", "hyperparams": {**_HYPER, "length_scale": 1e-200}}),
     ("predict", {"type": "transformed", "f_operator": make_curl_operator_3d().to_json_dict(),
                  "g_operator": _IDENTITY_3D, "hyperparams": _HYPER}),
     ("predict", {"type": "diagonal", "out_dims": 2, "hyperparams": _HYPER}),
@@ -403,7 +401,6 @@ _IDENTITY_3D = {"vars": 3, "rows": 3, "cols": 3, "entries": [
         "zero_denominator", "kernel_spec_not_an_object", "hyperparams_not_an_object",
         "out_dim_list", "out_dim_fraction", "out_dim_bool",
         "max_degree_list", "max_degree_fraction", "max_degree_bool",
-        "length_scale_squared_overflows", "length_scale_squared_underflows",
         "g_operator_not_annihilating", "unknown_key", "unknown_hyperparams_key"])
 def test_malformed_spec_exit_1(tmp_path, command, doc):
     spec = write_json(tmp_path / "spec.json", doc)
@@ -424,9 +421,6 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
     for key in ("out_dim", "max_degree"):
         if isinstance(doc, dict) and key in doc:
             assert f"kernel spec {key!r} must be an integer" in proc.stderr
-    if isinstance(doc, dict) and doc.get("hyperparams") in (
-            {**_HYPER, "length_scale": 1e-200}, {**_HYPER, "length_scale": 1e200}):
-        assert "length_scale" in proc.stderr
     for typo in ("out_dims", "noise_varaince"):
         if typo in json.dumps(doc):
             assert repr(typo) in proc.stderr
@@ -436,16 +430,10 @@ def test_malformed_spec_exit_1(tmp_path, command, doc):
 
 
 @pytest.mark.parametrize("theta", [
-    {"signal_variance": 1e-320, "length_scale": 1e10},   # subnormal coefficients
-    {"length_scale": 1e-200},                            # sv l^2 underflows to 0
-    {"length_scale": 1e-160},                            # sv l^2 is subnormal
-    {"length_scale": 1e200},                             # l^2 overflows
-], ids=["subnormal", "potential_variance_zero", "potential_variance_subnormal",
-        "potential_variance_overflow"])
+    {"signal_variance": 1e-320, "length_scale": 1e10},
+], ids=["subnormal"])
 def test_predict_coefficient_out_of_range_exit_1(tmp_path, capsys, theta):
-    # a kernel whose potential variance sv l^2, or a folded coefficient
-    # sv l^2 l^-2, left the normal floats would be zero, or nearly so, and
-    # predict a mean of 0 with no error
+    # a subnormal sv keeps too few digits to scale the kernel by
     X, B = synthetic_curl_free_field(10, seed=4)
     write_field_csv(tmp_path / "train.csv", X, B)
     (tmp_path / "points.csv").write_text("x1,x2,x3\n1.0,1.0,1.0\n")
@@ -459,12 +447,49 @@ def test_predict_coefficient_out_of_range_exit_1(tmp_path, capsys, theta):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("fieldgp: error: signal_variance ")
-    assert "length_scale" in captured.err
-    # the theta of the spec, not the potential's sv l^2
-    assert f"signal_variance {theta.get('signal_variance', 1.0)!r} " in captured.err
-    assert "outside the normal float range" in captured.err
+    assert captured.err == ("fieldgp: error: signal_variance 1e-320 is not a "
+                            "positive normal float\n")
     assert not (tmp_path / "pred.csv").exists()
+
+
+def _predict_no_fit(tmp_path, spec, points):
+    """(exit code, predictions) of ``predict --no-fit`` on the 10-point curl-free field."""
+    X, B = synthetic_curl_free_field(10, seed=4)
+    write_field_csv(tmp_path / "train.csv", X, B)
+    (tmp_path / "points.csv").write_text(
+        "x1,x2,x3\n" + "".join(",".join(map(repr, x)) + "\n" for x in points))
+    out = tmp_path / "pred.csv"
+    code = main(["predict", "--data", str(tmp_path / "train.csv"),
+                 "--kernel-spec", write_json(tmp_path / "kernel.json", spec),
+                 "--points", str(tmp_path / "points.csv"), "--out", str(out), "--no-fit"])
+    if not out.exists():
+        return code, None
+    return code, np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+
+
+@pytest.mark.parametrize("spec,length_scale", [
+    ({"type": "curl_free_3d"}, 1e200),
+    ({"type": "curl_free_3d"}, 1e-200),
+    *[({"type": "transformed", "g_operator": "auto-from-F",
+        "f_operator": make_curl_operator_3d().to_json_dict()}, ls)
+      for ls in (1e-200, 1e-160, 1e200)],
+], ids=["curl_free_3d-1e200", "curl_free_3d-1e-200",
+        "auto_from_f-1e-200", "auto_from_f-1e-160", "auto_from_f-1e200"])
+def test_predict_at_extreme_length_scale_exit_0(tmp_path, spec, length_scale):
+    # the curl-free field kernel at l -> 0 is sv I at r = 0 and 0 elsewhere,
+    # at l -> inf the constant sv I: each output is then one constant
+    code, pred = _predict_no_fit(tmp_path, {**spec, "hyperparams": {
+        **_HYPER, "length_scale": length_scale}}, [[1.0, 1.0, 1.0]])
+    assert code == 0
+    sv, noise = _HYPER["signal_variance"], _HYPER["noise_variance"]
+    if length_scale < 1.0:   # (1, 1, 1) is not a training point
+        assert np.array_equal(pred[0, 3:], [0.0, 0.0, 0.0, sv, sv, sv])
+    else:
+        _, B = synthetic_curl_free_field(10, seed=4)
+        n = len(B)
+        np.testing.assert_allclose(pred[0, 3:6], n * sv / (n * sv + noise) * B.mean(axis=0),
+                                   rtol=1e-7)
+        np.testing.assert_allclose(pred[0, 6:], sv * noise / (n * sv + noise), rtol=1e-6)
 
 
 def test_predict_auto_from_f_without_annihilator_exit_2(tmp_path, capsys):
@@ -536,22 +561,30 @@ def test_predict_every_fit_evaluation_fails_exit_1(tmp_path, capsys):
     assert not (tmp_path / "pred.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_predict_non_finite_cross_covariance_exit_1(tmp_path, capsys):
-    # at signal variance 1e300 the kernel far from the data is nan, as
-    # kernels._eval_block multiplies sv by the Hermite factor before the
-    # exponential: the means must not be written as nan with exit 0
-    X, B = synthetic_curl_free_field(10, seed=4)
-    write_field_csv(tmp_path / "train.csv", X, B)
-    (tmp_path / "points.csv").write_text("x1,x2,x3\n100000.0,1.0,1.0\n")
-    spec = write_json(tmp_path / "kernel.json", {
-        "type": "curl_free_3d", "hyperparams": {**_HYPER, "signal_variance": 1e300}})
-    code = main(["predict", "--data", str(tmp_path / "train.csv"), "--kernel-spec", spec,
-                 "--points", str(tmp_path / "points.csv"),
-                 "--out", str(tmp_path / "pred.csv"), "--no-fit"])
+def test_predict_far_from_data_at_huge_signal_variance_exit_0(tmp_path):
+    # sv multiplies the SE factor after the Hermite factors, so far from
+    # the data the kernel is 0, not sv He_2(u) = inf times 0
+    sv = 1e300
+    code, pred = _predict_no_fit(tmp_path, {
+        "type": "curl_free_3d", "hyperparams": {**_HYPER, "signal_variance": sv}},
+        [[100000.0, 1.0, 1.0]])
+    assert code == 0
+    assert np.array_equal(pred[0, 3:], [0.0, 0.0, 0.0, sv, sv, sv])
+
+
+def test_predict_overflowing_prior_variance_exit_1(tmp_path, capsys):
+    # G = (d1^2, d2^2, d3^2)^T has prior variance He_4(0) sv = 3 sv, which
+    # overflows at sv 1e308: the Gram is not finite, and fit_gp says so
+    G = {"vars": 3, "rows": 3, "cols": 1, "entries": [
+        {"row": i, "col": 0,
+         "terms": [{"coeff": 1, "exponents": [2 * (d == i) for d in range(3)]}]}
+        for i in range(3)]}
+    code, pred = _predict_no_fit(tmp_path, {
+        "type": "transformed", "g_operator": G,
+        "hyperparams": {**_HYPER, "signal_variance": 1e308}}, [[1.0, 1.0, 1.0]])
     assert code == 1
     assert capsys.readouterr().err == "fieldgp: error: array must not contain infs or NaNs\n"
-    assert not (tmp_path / "pred.csv").exists()
+    assert pred is None
 
 
 def _div_doc(**changes):
@@ -650,11 +683,6 @@ def _operator_specs(draw):
             "entries": draw(st.lists(entry, max_size=3))}
 
 
-# the fuzzers below reach values whose arithmetic overflows by design
-_IGNORE_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered",
-                                              "ignore:invalid value encountered")
-
-
 def _exit_code_without_traceback(argv):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -732,9 +760,6 @@ def _kernel_specs(draw):
     return doc
 
 
-# hyperparameters near the float limits overflow inside the kernel evaluator
-# (u = r / l for l ~ 1e-300, sv He_2(u) for sv ~ 1e308); this test checks the exit code
-@_IGNORE_OVERFLOW
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_kernel_specs())

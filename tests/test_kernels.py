@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ def test_curl_free_kernels_are_the_field_family_bitwise(log_sv, log_ls, seed):
     # one field family of the curl, at the field's variance sv
     theta = SeHyperparams(float(np.exp(log_sv)), float(np.exp(log_ls)), 1e-6)
     want = field_family(construct_g(make_curl_operator_3d())[0])(theta)
-    assert want.theta.signal_variance == theta.signal_variance * theta.length_scale ** 2
+    assert want.theta == theta and want.order == 2
     spec_kernels = []
     for spec in _CURL_SPECS:
         family, spec_theta = kernel_family_from_spec(
@@ -338,29 +339,69 @@ def test_import_builds_no_annihilator():
 
 
 @pytest.mark.parametrize("sv,ls", [
-    (1.0, 1e-200),      # sv l^2 underflows to 0
-    (1.0, 1e-160),      # sv l^2 is subnormal
+    (1.0, 1e-200),      # u = r / l and He_2(u) overflow off the diagonal
+    (1.0, 1e-160),      # u^2 overflows off the diagonal
+    (1.0, 1e200),
+    (1e300, 1e10),
+    (1e300, 1e-5),      # sv He_2(u) would overflow before the SE factor
+    (1e300, 1e200),
+])
+def test_kernel_at_extreme_theta_is_its_limit(sv, ls, rng):
+    # theta enters only at evaluation: the field kernel at (sv, l) is sv
+    # times the unit kernel of r / l, exactly 0 where the SE factor
+    # underflows, and nothing overflows on the way to either
+    family = field_family(construct_g(make_curl_operator_3d())[0])
+    X = rng.uniform(-2.0, 2.0, size=(5, 3))
+    unit = family(SeHyperparams(1.0, 1.0))
+    kernel = family(SeHyperparams(sv, ls))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = kernel.eval_pairwise(X * ls, X * ls)
+        unscaled = kernel.eval_pairwise(X, X)
+    want = sv * unit.eval_pairwise(X, X)
+    assert np.all(np.abs(scaled - want) <= 1e-15 * np.abs(want).max())
+    if ls < 1.0:   # every pair of distinct points is far apart in units of l
+        at_zero = sv * unit.eval(np.zeros(3), np.zeros(3))
+        for a in range(len(X)):
+            assert np.array_equal(unscaled[a, :, a, :], at_zero)
+            unscaled[a, :, a, :] = 0.0
+        assert not np.any(unscaled)
+
+
+@pytest.mark.parametrize("sv,ls", [
+    (1.0, 1e200),       # l^-2 underflows, so the kernel is exactly 0
+    (1e300, 1e10),
+])
+def test_transform_kernel_is_the_field_kernel_over_l_squared(sv, ls, rng):
+    # transform_kernel applies G adj(G) to k, the field family to l^2 k
+    G = construct_g(make_curl_operator_3d())[0]
+    X = rng.uniform(-2.0, 2.0, size=(5, 3)) * ls
+    theta = SeHyperparams(sv, ls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = transform_kernel(G, theta).eval_pairwise(X, X)
+        want = field_family(G)(theta).eval_pairwise(X, X) * ls ** -2.0
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("sv,ls", [
     (1e-320, 1.0),      # sv itself is subnormal
-    (1.0, 1e200),       # l^2 overflows
-    (1e300, 1e10),      # sv l^2 overflows
 ])
 def test_field_family_rejects_a_potential_variance_outside_the_normal_floats(sv, ls):
+    # a subnormal sv would scale every entry imprecisely; theta refuses it
     family = field_family(construct_g(make_curl_operator_3d())[0])
-    with pytest.raises(ValueError, match="signal_variance .* length_scale"):
+    with pytest.raises(ValueError, match="signal_variance .* not a positive normal float"):
         family(SeHyperparams(sv, ls))
 
 
 @pytest.mark.parametrize("sv,ls", [
-    (1.0, 1e200),       # sv l^-2 underflows to 0
     (1e-320, 1.0),      # subnormal coefficients
-    (1e300, 1e-5),      # sv l^-2 overflows
-], ids=["underflow", "subnormal", "overflow"])
+], ids=["subnormal"])
 def test_compile_rejects_a_coefficient_outside_the_normal_floats(sv, ls):
-    # the potential-variance kernel folds sv l^-2 into its coefficients; one
-    # that left the normal floats would evaluate a zero or wrong kernel
-    kernel = transform_kernel(construct_g(make_curl_operator_3d())[0], SeHyperparams(sv, ls))
-    with pytest.raises(ValueError, match="outside the normal float range"):
-        kernel.eval_pairwise(np.zeros((2, 3)), np.ones((1, 3)))
+    # sv scales every entry of the evaluated kernel; theta refuses a
+    # subnormal one before transform_kernel is reached
+    with pytest.raises(ValueError, match="signal_variance .* not a positive normal float"):
+        transform_kernel(construct_g(make_curl_operator_3d())[0], SeHyperparams(sv, ls))
 
 
 def _identity_expr(out_dim, dim):
