@@ -6,10 +6,12 @@ jointly on the real data and on artificial observations of the
 transformed field F[f] with zero targets and zero noise.  These are
 linear observations of f, so conditioning on them is ordinary GP
 conditioning on one extra observation block (see :func:`fieldgp.gp.fit_gp`).
-The constraint then holds only at those points, and the joint Gram
-matrix grows with their number and loses conditioning because the added
-block is noiseless, which is why the factorization jitter is surfaced
-rather than hidden.
+The constraint then holds only at those points.  The added block is
+noiseless, so as the points crowd together their observations become
+numerically dependent: the fit keeps only the rows that still carry
+information given the data and the rows kept before them (a pivoted
+Cholesky factorization of the block's Schur complement), and the model's
+``block.rows`` says which.
 """
 
 import numpy as np
@@ -29,10 +31,12 @@ def augment(data, F, points, kernel):
         variables, so F can be applied to its arguments: a fitted
         ``DiagonalKernel(theta, K, in_dim=D)``, for instance.
 
-    Returns a :class:`fieldgp.gp.GpModel`; its ``joint_dim`` counts the
-    data rows plus Nc * rows(F) constraint rows.  The constraint rows
-    carry no noise; conditioning issues are handled by the jitter schedule
-    of :func:`fieldgp.gp.cholesky_jitter` and the jitter used is recorded.
+    Returns a :class:`fieldgp.gp.GpModel`.  The constraint rows carry no
+    noise, and of the Nc * rows(F) of them the model conditions only on
+    ``model.block.rows``, those whose variance given the data and the rows
+    kept before them exceeds the pivot tolerance ``fieldgp.gp.PIVOT_RTOL``
+    (relative to the joint Gram matrix's largest diagonal entry).  Its
+    ``joint_dim`` counts the data rows plus the kept rows.
     """
     if F.cols != data.out_dim:
         raise ValueError(

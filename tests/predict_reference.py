@@ -3,7 +3,8 @@
 Kept as the reference ``PredictionResult`` is tested against bit for bit:
 one call formed the means, ran the triangular solve v = L^-1 C^T, and
 with ``full_cov`` formed the joint covariance before squaring v in place
-for the marginal variances.
+for the marginal variances.  A model with an observation block takes
+the columns of the block's kept ``rows``.
 """
 
 import numpy as np
@@ -18,7 +19,8 @@ def eager_predict(model, Xstar, full_cov=False):
     m, k_out, repeats = Xstar.shape[0], model.data.out_dim, model.repeats
     C = cross_gram(model.factor, Xstar, model.data.inputs)
     if model.block is not None:
-        C = np.hstack([C, cross_gram(model.block.cross, Xstar, model.block.points)])
+        block = cross_gram(model.block.cross, Xstar, model.block.points)
+        C = np.hstack([C, block[:, model.block.rows]])
     means = (C @ model.alpha.reshape(-1, repeats)).reshape(m, k_out)
     v = solve_triangular(model.L, C.T, lower=True, overwrite_b=True)
     covariance = None

@@ -1,5 +1,8 @@
 """Tests for Gram assembly, factorization, likelihood, fitting, prediction."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +270,15 @@ def test_fit_learn_noise(rng):
     assert 0.02 <= np.sqrt(fit.theta.noise_variance) <= 1.0
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # only a hyperparameter fit needs it; construct-g, check-kernel and
+    # predict --no-fit never fit
+    code = "import sys, fieldgp; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -415,6 +427,19 @@ def test_predict_rejects_non_finite_cross_covariance(rng, value, where):
         model.block = model.block._replace(cross=_PoisonedCross(model.block.cross, value))
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         predict(model, rng.uniform(0, 3, size=(4, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["cross", "prior"])
+def test_fit_rejects_non_finite_block(rng, value, where):
+    # a non-finite pivot would stop the pivoted factorization like a small one
+    X = rng.uniform(0, 3, size=(8, 2))
+    data = Dataset(X, rng.standard_normal((8, 2)), noise_std=0.1)
+    kernel = DiagonalKernel(THETA, 2, in_dim=2)
+    model = augment(data, make_divergence_operator(2), rng.uniform(0, 3, size=(3, 2)), kernel)
+    block = model.block._replace(**{where: _PoisonedCross(getattr(model.block, where), value)})
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        fit_gp(data, kernel, block=block)
 
 
 # ---------------------------------------------------------------------------
