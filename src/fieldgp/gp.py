@@ -5,7 +5,9 @@ point-major (all components of point 1, then point 2, ...), matching the
 K x K blocks produced by the matrix kernels.  Factorization adds noise
 variance on the diagonal and escalates a small jitter when the data's
 Gram matrix is numerically semidefinite; the jitter actually used is
-recorded on the model so experiments can report it.
+recorded on the model so experiments can report it.  LAPACK ``dpotrf``
+factors each Gram matrix in its own memory, through its Fortran view, and
+the Fortran-ordered factor reaches the LAPACK solvers without a copy.
 
 When the kernel is the constant K x K identity applied to a scalar
 kernel k (the independent-output kernel), the noisy Gram matrix of the
@@ -64,6 +66,11 @@ JITTER_MAX_ESCALATIONS = 6
 #: 6.7e-4 relative (the benchmark's 3-D inputs and the simulated pipeline,
 #: seeds 0-2) against conditioning on every row with a jitter.
 PIVOT_RTOL = 1e-12
+
+#: Entries of an observation block's cross kernel that :func:`predict`
+#: evaluates at a time: its kept columns are gathered into the
+#: cross-covariance from temporaries of at most this size.
+_CROSS_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -159,34 +166,53 @@ def cross_gram(kernel, X1, X2):
 
 
 def cholesky_jitter(M):
-    """Lower Cholesky factor with escalating jitter.
+    """Lower Cholesky factor of the symmetric matrix M, in M's own memory,
+    with escalating jitter.
 
-    Returns (L, jitter_used).  Raises NotPositiveDefinite when the
-    largest jitter in the schedule still fails.
+    LAPACK ``dpotrf`` factors the Fortran view ``M.T`` in place, so M is
+    overwritten when it is a C-contiguous float64 array (any other M is
+    factored in a copy).  Returns (L, jitter_used): L is that
+    Fortran-ordered lower factor with its strict upper triangle zeroed,
+    which LAPACK solvers such as ``cho_solve`` read without a copy.  When
+    the factorization fails, each retry restores the triangle ``dpotrf``
+    overwrote from the one it leaves untouched and factors M + jitter I.
+    Raises ``ValueError`` if a failed M is not finite, and
+    NotPositiveDefinite when the largest jitter in the schedule still fails.
     """
-    M = np.asarray(M, dtype=float)
-    dim = M.shape[0]
-    try:
-        return np.linalg.cholesky(M), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    scale = np.trace(M) / dim
-    if scale <= 0:
-        scale = 1.0
-    jitter = JITTER_BASE_SCALE * scale
-    # the floats of M + jitter * I: off the diagonal that sum adds only +0.0
-    inflated, diagonal = M.copy(), np.diagonal(M).copy()
-    for _ in range(JITTER_MAX_ESCALATIONS + 1):
-        np.fill_diagonal(inflated, diagonal + jitter)
-        try:
-            L = np.linalg.cholesky(inflated)
-            logger.debug("cholesky needed jitter %.3e", jitter)
-            return L, jitter
-        except np.linalg.LinAlgError:
+    # M is symmetric, so its Fortran view is M too
+    L = np.ascontiguousarray(M, dtype=float).T
+    diagonal = np.diagonal(L).copy()
+    L, info = lapack.dpotrf(L, lower=1, clean=0, overwrite_a=1)
+    jitter = 0.0
+    if info:
+        _restore_lower(L)
+        np.fill_diagonal(L, diagonal)
+        if not np.all(np.isfinite(L)):
+            raise ValueError("array must not contain infs or NaNs")
+        scale = np.trace(L) / L.shape[0]
+        jitter = JITTER_BASE_SCALE * (scale if scale > 0 else 1.0)
+        for _ in range(JITTER_MAX_ESCALATIONS + 1):
+            # the floats of M + jitter * I: off the diagonal that sum adds only +0.0
+            np.fill_diagonal(L, diagonal + jitter)
+            L, info = lapack.dpotrf(L, lower=1, clean=0, overwrite_a=1)
+            if not info:
+                logger.debug("cholesky needed jitter %.3e", jitter)
+                break
+            _restore_lower(L)
             jitter *= 10.0
-    raise NotPositiveDefinite(
-        f"matrix not factorizable after jitter escalation to {jitter / 10.0:.3e}"
-    )
+        else:
+            raise NotPositiveDefinite(
+                f"matrix not factorizable after jitter escalation to {jitter / 10.0:.3e}")
+    # dpotrf's own zeroing (clean=1) walks the triangle across columns and
+    # costs about 3x this mask at 1500 rows; one mask is cheap at 50 rows too
+    np.copyto(L.T, 0.0, where=np.tri(L.shape[0], k=-1, dtype=bool))
+    return L, jitter
+
+
+def _restore_lower(L):
+    """Copy the strict upper triangle, which ``dpotrf`` leaves as it was, onto the lower."""
+    for j in range(L.shape[0] - 1):
+        L[j + 1:, j] = L[j, j + 1:]
 
 
 class ObservationBlock(NamedTuple):
@@ -246,21 +272,24 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
         noise_variance = data.noise_std ** 2
     factor, repeats = identity_factor(kernel) or (kernel, 1)
     gram = assemble_gram(factor, data.inputs, noise_variance)
+    # read first: the factor overwrites the Gram matrix's diagonal
+    data_variance = np.max(np.diagonal(gram), initial=0.0)
     L, jitter = cholesky_jitter(gram)
     y = data.y_flat.reshape(-1, repeats)    # column c holds output c in the Kronecker case
     if block is not None:
-        rows, w_kept, l_kept = _factor_block(data, L, block, np.max(np.diagonal(gram)))
+        rows, w_kept, l_kept = _factor_block(data, L, block, data_variance)
         n_data = y.size
-        # in Fortran order LAPACK's cho_solve reads the factor without a copy
         joint = np.zeros((n_data + rows.size,) * 2, order="F")
-        joint[:n_data, :n_data] = L if repeats == 1 else np.kron(L, np.eye(repeats))
+        for c in range(repeats):    # kron(L, I_repeats), without np.kron's temporaries
+            joint[c:n_data:repeats, c:n_data:repeats] = L
         joint[n_data:, :n_data] = w_kept
         joint[n_data:, n_data:] = l_kept
         L, factor, repeats, block = joint, kernel, 1, block._replace(rows=rows)
         y = np.concatenate([data.y_flat, np.zeros(rows.size)])[:, None]
     # cho_solve's finiteness check stays: at a huge signal variance a kernel
-    # value can overflow to inf or nan, np.linalg.cholesky then returns a
-    # non-finite factor without raising, and this check is what rejects it
+    # value can overflow to inf or nan, LAPACK's dpotrf then returns a
+    # non-finite factor without failing, and this check is what rejects it.
+    # L is in Fortran order, so cho_solve reads it without a copy
     alpha = cho_solve((L, True), y).reshape(-1)
     return GpModel(factor, repeats, data, L, alpha, jitter, block)
 
@@ -347,12 +376,21 @@ def predict(model, Xstar):
 
 def _cross_covariance(model, Xstar):
     """cov(f(Xstar), joint observations): the data columns, then the block's kept rows."""
-    C = cross_gram(model.factor, Xstar, model.data.inputs)
-    if model.block is not None:
-        block = model.block
-        # np.take gathers the kept columns several times faster than C[:, rows]
-        C = np.hstack([C, np.take(cross_gram(block.cross, Xstar, block.points),
-                                  block.rows, axis=1)])
+    block = model.block
+    if block is None:
+        return cross_gram(model.factor, Xstar, model.data.inputs)
+    k, r = block.cross.shape
+    # the kept rows' columns of the cross kernel at the points with a kept row
+    points, point_of_row = np.unique(block.rows // r, return_inverse=True)
+    columns = point_of_row * r + block.rows % r
+    n_data = model.data.outputs.size
+    C = np.empty((len(Xstar) * k, n_data + columns.size))
+    C[:, :n_data] = cross_gram(model.factor, Xstar, model.data.inputs)
+    step = max(1, _CROSS_CHUNK_ENTRIES // (k * r * max(points.size, 1)))
+    for lo in range(0, len(Xstar), step):
+        # np.take gathers the columns several times faster than [:, columns]
+        C[lo * k:(lo + step) * k, n_data:] = np.take(
+            cross_gram(block.cross, Xstar[lo:lo + step], block.points[points]), columns, axis=1)
     return C
 
 

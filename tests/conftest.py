@@ -156,6 +156,6 @@ def column_covariance_sum(G):
                             for j in range(G.rows)] for i in range(G.rows)])
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20_240_817)

@@ -96,7 +96,7 @@ def test_cholesky_identity_no_jitter():
 def test_cholesky_rank_deficient_needs_jitter(rng):
     v = rng.standard_normal(6)
     M = np.outer(v, v)  # rank one, PSD
-    L, jitter = cholesky_jitter(M)
+    L, jitter = cholesky_jitter(M.copy())   # the factor overwrites its argument
     assert jitter > 0.0
     assert np.allclose(L @ L.T, M + jitter * np.eye(6), rtol=1e-10, atol=1e-12)
 
@@ -104,9 +104,36 @@ def test_cholesky_rank_deficient_needs_jitter(rng):
 def test_cholesky_spd_reconstruction(rng):
     A = rng.standard_normal((8, 8))
     M = A @ A.T + 8 * np.eye(8)
-    L, jitter = cholesky_jitter(M)
+    L, jitter = cholesky_jitter(M.copy())
     assert jitter == 0.0
     assert np.max(np.abs(L @ L.T - M)) <= 1e-10 * np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("n", [6, 40, 300])
+def test_cholesky_jitter_factors_in_place_on_schedule(rng, n):
+    # a rank-one M fails to factor; the factor of M + jitter I it returns is,
+    # bit for bit, a fresh in-place factor of that matrix, in M's own memory,
+    # and the jitter is on the schedule base * tr(M)/n * 10^k
+    v = rng.standard_normal(n)
+    M = np.outer(v, v)
+    A = M.copy()
+    L, jitter = cholesky_jitter(A)
+    schedule = [JITTER_BASE_SCALE * (np.trace(M) / n)]
+    for _ in range(JITTER_MAX_ESCALATIONS):
+        schedule.append(schedule[-1] * 10.0)
+    assert jitter in schedule
+    fresh, info = gp.lapack.dpotrf((M + jitter * np.eye(n)).T, lower=1, clean=1)
+    assert info == 0
+    assert np.array_equal(L, fresh)
+    assert np.shares_memory(L, A) and L.flags.f_contiguous
+
+
+def test_cholesky_rejects_non_finite_failure():
+    # a NaN that stops the factorization is reported as the solve would
+    M = np.eye(4)
+    M[0, 0], M[3, 0], M[0, 3] = -1.0, np.nan, np.nan
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        cholesky_jitter(M)
 
 
 def test_cholesky_not_pd():
@@ -119,7 +146,7 @@ def test_cholesky_policy_escalation_count(rng):
     # formed by repeated multiplication by 10 (so compared exactly)
     v = rng.standard_normal(40)
     M = np.outer(v, v)
-    _, jitter = cholesky_jitter(M)
+    _, jitter = cholesky_jitter(M.copy())
     schedule = [JITTER_BASE_SCALE * (np.trace(M) / 40)]
     for _ in range(JITTER_MAX_ESCALATIONS):
         schedule.append(schedule[-1] * 10.0)
@@ -370,28 +397,38 @@ def test_predict_leaves_model_unchanged_and_repeats(rng, case):
                            first.marginal_variances.reshape(-1), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["plain", "kronecker", "block"])
-def test_variances_solved_on_read_match_eager_prediction(rng, case):
+@pytest.mark.parametrize("case", ["plain", "kronecker", "block", "dropped_rows"])
+def test_variances_solved_on_read_match_eager_prediction(rng, monkeypatch, case):
     # the covariance and the variances, read in either order, are bit for bit
     # those of the eager prediction; the points are copied at the call
-    X = rng.uniform(0, 3, size=(12, 2))
-    data = Dataset(X, rng.standard_normal((12, 2)), noise_std=0.1)
+    dim = 3 if case == "dropped_rows" else 2
+    X = rng.uniform(0, 3, size=(12, dim))
+    data = Dataset(X, rng.standard_normal((12, dim)), noise_std=0.1)
     if case == "plain":
         model = fit_gp(data, divfree_kernel())
     elif case == "kronecker":
         model = fit_gp(data, DiagonalKernel(THETA, 2))
         assert model.repeats == 2
-    else:
+    elif case == "block":
         model = augment(data, make_divergence_operator(2),
                         rng.uniform(0, 3, size=(5, 2)), DiagonalKernel(THETA, 2, in_dim=2))
+    else:
+        # crowded curl points, 3 rows each, five of them twice: a point and
+        # its twin keep 3 of their 6 rows, and the block's cross kernel is
+        # evaluated in several chunks of prediction points
+        pts = rng.uniform(0, 0.3, size=(30, 3))
+        model = augment(data, make_curl_operator_3d(), np.vstack([pts, pts[:5]]),
+                        DiagonalKernel(THETA, 3, in_dim=3))
+        assert np.any(np.bincount(model.block.rows // 3, minlength=35) < 3)
+        monkeypatch.setattr(gp, "_CROSS_CHUNK_ENTRIES", 500)
     L, alpha = model.L.copy(), model.alpha.copy()
-    Xs = rng.uniform(0, 3, size=(7, 2))
+    Xs = rng.uniform(0, 3, size=(7, dim))
     means, variances, covariance = eager_predict(model, Xs, full_cov=True)
     caller_points = Xs.copy()
     cov_first, var_first = predict(model, caller_points), predict(model, Xs)
     caller_points[:] = 0.0
-    assert cov_first.covariance.shape == (14, 14)
-    assert var_first.marginal_variances.shape == (7, 2)
+    assert cov_first.covariance.shape == (7 * dim,) * 2
+    assert var_first.marginal_variances.shape == (7, dim)
     for pred in (cov_first, var_first):
         assert np.array_equal(pred.means, means)
         assert np.array_equal(pred.marginal_variances, variances)
@@ -403,7 +440,7 @@ class _PoisonedCross:
     """A kernel with ``value`` in one entry of every block it evaluates."""
 
     def __init__(self, kernel, value):
-        self.kernel, self.value = kernel, value
+        self.kernel, self.value, self.shape = kernel, value, kernel.shape
 
     def eval_pairwise(self, X1, X2):
         k = self.kernel.eval_pairwise(X1, X2)
@@ -483,7 +520,7 @@ def test_kronecker_path_matches_dense_oracle(problem):
     assert model.L.shape == (n, n) and model.joint_dim == n * k
 
     gram = assemble_gram(kernel, X, noise)
-    _, jitter = cholesky_jitter(gram)
+    _, jitter = cholesky_jitter(gram.copy())
     assert model.jitter == jitter
     if noise == 0 and n >= 2 and np.array_equal(X[0], X[1]):
         assert jitter > 0
@@ -505,6 +542,44 @@ def test_kronecker_path_matches_dense_oracle(problem):
     np.testing.assert_allclose(pred.covariance, cov, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(pred.marginal_variances.reshape(-1),
                                np.maximum(np.diag(cov), 0.0), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["kronecker", "curl_free", "augment"])
+def test_fit_factor_is_fortran_lower_without_numpy_cholesky(rng, monkeypatch, case):
+    # every factor is LAPACK's, in Fortran order with an exactly zero strict
+    # upper triangle, and nothing calls numpy's Cholesky
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    X = rng.uniform(0, 3, size=(6, 3))
+    data = Dataset(X, rng.standard_normal((6, 3)), noise_std=0.1)
+    if case == "augment":
+        model = augment(data, make_curl_operator_3d(), rng.uniform(0, 3, size=(2, 3)),
+                        DiagonalKernel(THETA, 3, in_dim=3))
+    else:
+        model = fit_gp(data, DiagonalKernel(THETA, 3) if case == "kronecker"
+                       else CurlFreeKernel(THETA))
+    L = model.L
+    assert L.flags.f_contiguous
+    assert not np.triu(L, 1).any()
+    if case != "augment":
+        gram = assemble_gram(model.factor, X, 0.01)
+        assert np.max(np.abs(L @ L.T - gram)) <= 1e-12 * np.max(gram)
+
+
+def test_block_tolerance_reads_the_gram_diagonal(rng, monkeypatch):
+    # the data's Gram matrix is factored in place: the block's tolerance must
+    # come from its diagonal (sv + noise), not from the factor's (about sqrt)
+    seen = []
+    factor_block = gp._factor_block
+    monkeypatch.setattr(gp, "_factor_block", lambda *args: seen.append(args[3])
+                        or factor_block(*args))
+    X = rng.uniform(0, 3, size=(6, 2))
+    data = Dataset(X, rng.standard_normal((6, 2)), noise_std=0.1)
+    augment(data, make_divergence_operator(2), rng.uniform(0, 3, size=(3, 2)),
+            DiagonalKernel(SeHyperparams(4.0, 1.0), 2, in_dim=2))
+    assert seen == [4.0 + 0.1 ** 2]
 
 
 @pytest.mark.parametrize("case", ["curl_free", "transformed", "augment"])
