@@ -28,17 +28,26 @@ conditions on those rows alone, without jitter.
 ``predict`` computes only the posterior means, which need the weights
 K^-1 y alone; the variances and the covariance also need a triangular
 solve against every prediction column, and are solved for when first read.
+
+``fit_hyperparameters`` scores each theta with the factor and K^-1 y alone
+(Rasmussen & Williams 2006, Alg. 2.1), through the same Gram, noise and
+factor step as ``fit_gp`` and the same formula as
+``log_marginal_likelihood``.  Its kernel family has one operator and order
+for every theta, so the work free of theta (the Kronecker decision, the
+pairwise differences of the training inputs, y's layout) is done once per
+fit, and no model is built until the caller fits the winning theta.
 """
 
 import logging
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 
-from .kernels import SeHyperparams, identity_factor
+from .kernels import DiagonalKernel, SeHyperparams, identity_factor, pair_differences
 
 logger = logging.getLogger(__name__)
 
@@ -143,16 +152,21 @@ class PredictionResult:
         return np.kron(prior_full - self._v.T @ self._v, np.eye(self.model.repeats))
 
 
-def assemble_gram(kernel, X, noise_variance=0.0):
-    """Block Gram matrix of a matrix kernel with noise on the diagonal."""
+def assemble_gram(kernel, X, noise_variance=0.0, differences=None):
+    """Block Gram matrix of a matrix kernel with noise on the diagonal.
+
+    ``differences`` is ``tuple(pair_differences(X, X))``, for a caller that
+    assembles many Gram matrices on the same X.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    k = kernel.eval_pairwise(X, X)
+    k = kernel.eval_pairwise(X, X, differences)
     n, r, _, c = k.shape
     if r != c:
         raise ValueError("Gram assembly needs a square kernel")
     gram = k.reshape(n * r, n * r)
     if noise_variance:
-        gram[np.diag_indices(n * r)] += noise_variance
+        diagonal = gram.reshape(-1)[::n * r + 1]    # a view: gram is a reshape of k
+        diagonal += noise_variance
     return gram
 
 
@@ -271,10 +285,7 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
     if noise_variance is None:
         noise_variance = data.noise_std ** 2
     factor, repeats = identity_factor(kernel) or (kernel, 1)
-    gram = assemble_gram(factor, data.inputs, noise_variance)
-    # read first: the factor overwrites the Gram matrix's diagonal
-    data_variance = np.max(np.diagonal(gram), initial=0.0)
-    L, jitter = cholesky_jitter(gram)
+    L, jitter, data_variance = _factor_data(factor, data.inputs, noise_variance)
     y = data.y_flat.reshape(-1, repeats)    # column c holds output c in the Kronecker case
     if block is not None:
         rows, w_kept, l_kept = _factor_block(data, L, block, data_variance)
@@ -292,6 +303,15 @@ def fit_gp(data, kernel, noise_variance=None, block=None):
     # L is in Fortran order, so cho_solve reads it without a copy
     alpha = cho_solve((L, True), y).reshape(-1)
     return GpModel(factor, repeats, data, L, alpha, jitter, block)
+
+
+def _factor_data(factor, X, noise_variance, differences=None):
+    """(L, jitter, largest diagonal entry) of the noisy Gram matrix of ``factor`` at X."""
+    gram = assemble_gram(factor, X, noise_variance, differences)
+    # read first: the factor overwrites the Gram matrix's diagonal
+    data_variance = gram.diagonal().max(initial=0.0)
+    L, jitter = cholesky_jitter(gram)
+    return L, jitter, data_variance
 
 
 def _factor_block(data, L, block, data_variance):
@@ -357,10 +377,19 @@ def _check_out_dim(kernel, data):
 def log_marginal_likelihood(model):
     """Gaussian log evidence of the training outputs (and a block's kept zero-valued rows)."""
     y = model.data.y_flat
+    return _log_evidence(y, model.alpha[:y.size], model.L, model.repeats)
+
+
+def _log_evidence(y, alpha, L, repeats):
+    """-y^T alpha / 2 - log det(K) / 2 - n log(2 pi) / 2, for K = kron(L L^T, I_repeats).
+
+    ``alpha`` is K^-1 y over the data rows; for a model with a block, the
+    kept rows' zero targets add nothing to the quadratic term.
+    """
     return float(
-        -0.5 * y @ model.alpha[:y.size]
-        - model.repeats * np.sum(np.log(np.diag(model.L)))
-        - 0.5 * model.joint_dim * LOG_2PI
+        -0.5 * y @ alpha
+        - repeats * np.log(L.diagonal()).sum()
+        - 0.5 * (L.shape[0] * repeats) * LOG_2PI
     )
 
 
@@ -425,11 +454,60 @@ class OptConfig:
 
 @dataclass
 class FitResult:
-    """Best hyperparameters found and the number of objective evaluations."""
+    """Best hyperparameters found and the number of objective evaluations.
+
+    ``discarded`` counts the evaluations scored -inf because they failed:
+    per exception type name, and under "nan" those whose likelihood was nan.
+    """
 
     theta: SeHyperparams
     lml: float
     n_evals: int = 0
+    discarded: dict = field(default_factory=dict)
+
+
+class _FamilyChanged(ValueError):
+    """A kernel family's operator or order at some theta is not the one at ``init``."""
+
+
+class _Evidence:
+    """theta -> log marginal likelihood of ``data`` under ``family(theta)``, with no model.
+
+    The Kronecker decision, the pairwise differences of the training inputs
+    and y in the factor's column layout are free of theta: they are made
+    once, from ``family(init)``.  A call factors the noisy Gram matrix as
+    :func:`fit_gp` does and solves for alpha with LAPACK ``dpotrs``, the
+    solve ``cho_solve`` runs.  Raises ``_FamilyChanged`` when
+    ``family(theta)`` has another operator or order than ``family(init)``.
+    """
+
+    def __init__(self, data, family, init):
+        kernel = family(init)
+        _check_out_dim(kernel, data)
+        self.family = family
+        self.operator, self.order = kernel.operator, kernel.order
+        self.kronecker = identity_factor(kernel) is not None
+        self.repeats = kernel.shape[0] if self.kronecker else 1
+        self.X = data.inputs
+        self.differences = tuple(pair_differences(self.X, self.X))
+        self.y = data.y_flat
+        self.y_columns = self.y.reshape(-1, self.repeats)
+
+    def __call__(self, theta):
+        kernel = self.family(theta)
+        if (kernel.operator is not self.operator and kernel.operator != self.operator
+                or kernel.order != self.order):
+            raise _FamilyChanged("the kernel family's operator or order depends on theta")
+        # the factor identity_factor(kernel) would return
+        factor = DiagonalKernel(kernel.theta, 1, kernel.in_dim) if self.kronecker else kernel
+        L, _, _ = _factor_data(factor, self.X, theta.noise_variance, self.differences)
+        # mirrors fit_gp's cho_solve check: a non-finite factor or solution
+        # is an error there, and only its diagonal and alpha can show one
+        # (dpotrf fails on a non-finite entry below the diagonal)
+        alpha, _ = lapack.dpotrs(L, self.y_columns, lower=1)
+        if not (np.isfinite(L.diagonal()).all() and np.isfinite(alpha).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        return _log_evidence(self.y, alpha.reshape(-1), L, self.repeats)
 
 
 def fit_hyperparameters(data, kernel_family, init, opt_config=None):
@@ -437,11 +515,17 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
 
     Runs a Nelder-Mead simplex on (log signal std, log length scale, and
     optionally log noise std) from ``init`` plus ``restarts - 1`` random
-    log-uniform starting points.  Deterministic for a fixed seed.
+    log-uniform starting points.  Deterministic for a fixed seed.  Every
+    evaluation scores the same value as ``log_marginal_likelihood(fit_gp(
+    data, kernel_family(theta), theta.noise_variance))``, or -inf where that
+    raises; no model is built, so callers fit the winning theta themselves.
 
     Parameters
     ----------
-    kernel_family : callable mapping SeHyperparams to a matrix kernel.
+    kernel_family : callable mapping SeHyperparams to a matrix kernel whose
+        operator and order do not depend on theta (every family in this
+        package: theta only scales l and sv); one that changes them raises
+        ``ValueError``.
     init : SeHyperparams starting point; its noise_variance is kept fixed
         unless ``opt_config.learn_noise`` is set.
     """
@@ -451,9 +535,10 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
     rng = np.random.default_rng(cfg.seed)
     sf_bounds, ls_bounds = _default_bounds(data)
 
-    _check_out_dim(kernel_family(init), data)
+    evidence = _Evidence(data, kernel_family, init)
     fixed_noise = init.noise_variance
     n_evals = 0
+    discarded = Counter()
 
     def theta_of(z):
         sv = np.exp(2.0 * z[0])
@@ -465,12 +550,14 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
         nonlocal n_evals
         n_evals += 1
         try:
-            theta = theta_of(z)
-            model = fit_gp(data, kernel_family(theta), noise_variance=theta.noise_variance)
-            lml = log_marginal_likelihood(model)
-        except (NotPositiveDefinite, ValueError, OverflowError):
+            lml = evidence(theta_of(z))
+        except _FamilyChanged:
+            raise
+        except (NotPositiveDefinite, ValueError, OverflowError) as exc:
+            discarded[type(exc).__name__] += 1
             lml = -np.inf
         if np.isnan(lml):
+            discarded["nan"] += 1
             lml = -np.inf
         return -lml
 
@@ -497,7 +584,8 @@ def fit_hyperparameters(data, kernel_family, init, opt_config=None):
                 best_val, best_z = res.fun, res.x
     if best_z is None or not np.isfinite(best_val):
         raise RuntimeError("hyperparameter search failed on every restart")
-    return FitResult(theta=theta_of(best_z), lml=-best_val, n_evals=n_evals)
+    return FitResult(theta=theta_of(best_z), lml=-best_val, n_evals=n_evals,
+                     discarded=dict(discarded))
 
 
 def _default_bounds(data):

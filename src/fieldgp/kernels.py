@@ -110,14 +110,27 @@ def _compile(operator, order):
     return tuple(plan), tuple(orders.items())
 
 
-def _eval_block(plan, orders, theta, X, X2, out):
-    """Write the compiled entries for the pairs of X and X2 into ``out``.
+def pair_differences(X, X2):
+    """The differences x_a,d - x2_b,d of every pair of rows, in evaluation blocks.
+
+    Yields (lo, diffs) per block of rows lo, lo + 1, ... of X: diffs lists,
+    per dimension d, the (rows, N2) array of X[lo:, d] - X2[:, d].  A caller
+    that evaluates many kernels on the same points keeps them as a tuple
+    and passes it to :meth:`MatrixKernelExpr.eval_pairwise`.
+    """
+    step = max(1, _BLOCK_PAIRS // max(X2.shape[0], 1))
+    for lo in range(0, X.shape[0], step):
+        yield lo, [np.subtract.outer(X[lo:lo + step, d], X2[:, d]) for d in range(X.shape[1])]
+
+
+def _eval_block(plan, orders, theta, diffs, out):
+    """Write the compiled entries for one block of pair differences into ``out``.
 
     Where the SE factor underflows to 0 the entry is 0, though u or a
     Hermite factor may have overflowed there.
     """
     ell = np.float64(theta.length_scale)  # so that l^power overflows to inf, not an error
-    u = [np.subtract.outer(X[:, d], X2[:, d]) / ell for d in range(X.shape[1])]
+    u = [diff / ell for diff in diffs]
     k = u[0] * u[0]
     for u_d in u[1:]:
         k += u_d * u_d
@@ -175,12 +188,14 @@ class MatrixKernelExpr:
         x2 = np.atleast_2d(np.asarray(x2, dtype=float))
         return self.eval_pairwise(x, x2)[0, :, 0, :]
 
-    def eval_pairwise(self, X, X2):
+    def eval_pairwise(self, X, X2, differences=None):
         """Kernel matrices of every pair of rows of X (N1, D) and X2 (N2, D).
 
         Returns the point-major block layout (N1, rows, N2, cols): entry
         [a, i, b, j] is component (i, j) of k(X[a], X2[b]), so reshaping
         to (N1*rows, N2*cols) gives the block Gram matrix without a copy.
+        ``differences`` is ``tuple(pair_differences(X, X2))``, when the
+        caller keeps it; otherwise each block's differences are formed here.
         """
         X = np.asarray(X, dtype=float)
         X2 = np.asarray(X2, dtype=float)
@@ -190,10 +205,11 @@ class MatrixKernelExpr:
         plan, orders = _compile(self.operator, self.order)
         rows, cols = self.shape
         out = np.zeros((X.shape[0], rows, X2.shape[0], cols))
-        step = max(1, _BLOCK_PAIRS // max(X2.shape[0], 1))
+        if differences is None:
+            differences = pair_differences(X, X2)
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, X.shape[0], step):
-                _eval_block(plan, orders, self.theta, X[lo:lo + step], X2, out[lo:lo + step])
+            for lo, diffs in differences:
+                _eval_block(plan, orders, self.theta, diffs, out[lo:lo + len(diffs[0])])
         return out
 
 
@@ -266,11 +282,15 @@ class SumKernel(MatrixKernelExpr):
     eval_pairwise = MatrixKernelExpr.eval_pairwise
 
 
+@cache
 def covariance_operator(G):
     """G adj(G): applied to k, the covariance of ``f = G[g]``; free of theta.
 
     Entry (i, j) sums, over potential components c, G_ic acting on the
-    first argument times G_jc acting on the second.
+    first argument times G_jc acting on the second.  Built once per
+    distinct G: every family of an equal G then evaluates the same
+    operator object, which :func:`_compile`'s cache finds by identity
+    instead of comparing its rational terms.
     """
     return symbolic_product(G, _adjoint(G))
 

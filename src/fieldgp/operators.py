@@ -111,7 +111,7 @@ class OperatorPoly:
     objects.
     """
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p", "terms", "_hash")
 
     def __init__(self, p, terms=None):
         if p < 1:
@@ -129,6 +129,7 @@ class OperatorPoly:
                 del clean[mono]
         self.p = p
         self.terms = clean
+        self._hash = None
 
     @classmethod
     def zero(cls, p):
@@ -184,7 +185,10 @@ class OperatorPoly:
         )
 
     def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
+        # formed once: nothing changes ``terms`` after construction
+        if self._hash is None:
+            self._hash = hash((self.p, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         return f"OperatorPoly({self.render()!r})"
@@ -217,7 +221,7 @@ class OperatorPoly:
 class OperatorMatrix:
     """Rectangular matrix of :class:`OperatorPoly` entries over shared variables."""
 
-    __slots__ = ("rows", "cols", "vars", "entries")
+    __slots__ = ("rows", "cols", "vars", "entries", "_hash")
 
     def __init__(self, entries):
         if not entries or not entries[0]:
@@ -235,6 +239,7 @@ class OperatorMatrix:
         self.cols = cols
         self.vars = p
         self.entries = tuple(tuple(row) for row in entries)
+        self._hash = None
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -252,7 +257,9 @@ class OperatorMatrix:
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        if self._hash is None:
+            self._hash = hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         return f"OperatorMatrix({self.rows}x{self.cols}, vars={self.vars})"

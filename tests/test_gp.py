@@ -2,13 +2,14 @@
 
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldgp import gp
+from fieldgp import gp, kernels
 from fieldgp.baseline import augment
 from fieldgp.gp import (
     JITTER_BASE_SCALE,
@@ -25,7 +26,7 @@ from fieldgp.gp import (
     predict,
 )
 from fieldgp.kernels import (CurlFreeKernel, DiagonalKernel, MatrixKernelExpr, SeHyperparams,
-                             transform_kernel)
+                             covariance_operator, field_family, transform_kernel)
 from fieldgp.operators import (OperatorMatrix, OperatorPoly, construct_g, make_curl_operator_3d,
                                make_divergence_operator)
 
@@ -251,15 +252,172 @@ def test_fit_counts_every_objective_evaluation(rng, monkeypatch):
     data = Dataset(X, Y, noise_std=0.1)
     calls = []
 
-    def counting_fit_gp(*args, **kwargs):
+    def counting_cholesky(*args, **kwargs):
         calls.append(None)
-        return fit_gp(*args, **kwargs)
+        return cholesky_jitter(*args, **kwargs)
 
-    monkeypatch.setattr(gp, "fit_gp", counting_fit_gp)
+    # every evaluation factors a Gram matrix, and none fails before that here
+    monkeypatch.setattr(gp, "cholesky_jitter", counting_cholesky)
     fit = fit_hyperparameters(data, lambda th: DiagonalKernel(th, 1),
                               SeHyperparams(1.0, 1.0, 0.01),
                               OptConfig(restarts=2, maxiter=60, seed=3))
     assert fit.n_evals == len(calls) > 0
+
+
+def _scored(lml):
+    """The objective's score of one evaluation: -inf where it raised."""
+    try:
+        return lml()
+    except (NotPositiveDefinite, ValueError, OverflowError):
+        return -np.inf
+
+
+#: G = (d1^2, d2^2, d3^2)^T: prior variance He_4(0) sv = 3 sv, inf at sv 1e308
+_OVERFLOWING_G = OperatorMatrix([[OperatorPoly.monomial(3, [2 * (d == i) for d in range(3)])]
+                                 for i in range(3)])
+
+
+@st.composite
+def _evidence_problems(draw):
+    """(family, data, theta, kind) over every family kind the fits use.
+
+    With ``duplicate`` the first point and its output repeat and the noise
+    is 0, so the Gram matrix is singular and its factor may need jitter.
+    """
+    kind = draw(st.sampled_from(["diagonal1", "diagonal2", "diagonal3",
+                                 "div2d", "curl_free", "overflow"]))
+    if kind.startswith("diagonal"):
+        dim = draw(st.integers(1, 3))
+        family = lambda th, k=int(kind[-1]): DiagonalKernel(th, k, in_dim=dim)
+    elif kind == "div2d":
+        dim, family = 2, field_family(construct_g(make_divergence_operator(2))[0])
+    elif kind == "curl_free":
+        dim, family = 3, CurlFreeKernel
+    else:
+        dim, family = 3, field_family(_OVERFLOWING_G)
+    n = draw(st.integers(1, 10))
+    ell = draw(st.floats(0.2, 3.0))
+    duplicate = draw(st.booleans())
+    # with a duplicate, sv is a square of a short binary fraction, so the
+    # repeated pivot of the scalar kernel cancels to exactly 0
+    sv = 1e308 if kind == "overflow" else draw(
+        st.sampled_from([0.25, 1.0, 2.25, 4.0]) if duplicate else st.floats(1e-3, 1e3))
+    noise = 0.0 if duplicate else draw(st.sampled_from([0.0, 1e-8, 1e-2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.uniform(0.0, 4.0, size=(n, dim))
+    Y = rng.standard_normal((n, family(THETA).shape[0]))
+    if duplicate:
+        X, Y = np.insert(X, 1, X[0], axis=0), np.insert(Y, 1, Y[0], axis=0)
+    return family, Dataset(X, Y), SeHyperparams(sv, ell, noise), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evidence_problems())
+def test_fit_evidence_equals_lml_of_fitted_model(problem):
+    # each objective evaluation scores what the model fit_gp builds scores,
+    # bit for bit, and -inf wherever building that model raises
+    family, data, theta, kind = problem
+    evidence = gp._Evidence(data, family, SeHyperparams(1.0, 1.0, theta.noise_variance))
+    fitted = _scored(lambda: log_marginal_likelihood(
+        fit_gp(data, family(theta), noise_variance=theta.noise_variance)))
+    assert _scored(lambda: evidence(theta)) == fitted
+    if kind == "overflow":
+        # a non-finite Gram is an error, as cho_solve's check makes it in fit_gp
+        assert fitted == -np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evidence(theta)
+    elif kind.startswith("diagonal") and len(data.inputs) > 1 and np.array_equal(
+            data.inputs[0], data.inputs[1]):
+        # the duplicate pivot is certain to cancel only for the Kronecker
+        # factor's scalar kernel
+        assert fit_gp(data, family(theta), noise_variance=0.0).jitter > 0
+
+
+def test_fit_forms_pair_differences_once(rng, monkeypatch):
+    # the differences of the training inputs are formed when the fit
+    # starts, and every evaluation evaluates the kernel once from them
+    X = rng.uniform(0, 4, size=(12, 2))
+    data = Dataset(X, np.c_[np.sin(X[:, 0]), np.cos(X[:, 1])], noise_std=0.1)
+    formed, evaluated = [], []
+
+    def counting_differences(*args):
+        formed.append(None)
+        return kernels.pair_differences(*args)
+
+    monkeypatch.setattr(gp, "pair_differences", counting_differences)
+    for cls in (DiagonalKernel, MatrixKernelExpr):
+        def counted(self, *args, _original=cls.eval_pairwise):
+            evaluated.append(args[2] is not None)
+            return _original(self, *args)
+        monkeypatch.setattr(cls, "eval_pairwise", counted)
+    for family in (lambda th: DiagonalKernel(th, 2),
+                   field_family(construct_g(make_divergence_operator(2))[0])):
+        formed.clear()
+        evaluated.clear()
+        fit = fit_hyperparameters(data, family, SeHyperparams(1.0, 1.0, 0.01),
+                                  OptConfig(restarts=2, maxiter=40, seed=3))
+        assert fit.discarded == {}
+        assert len(formed) == 1
+        assert evaluated == [True] * fit.n_evals
+
+
+def test_fit_counts_discarded_evaluations_by_type(rng, monkeypatch):
+    # (1 + d^2) k is negative at r = 0 for l < 1, so those fits fail while
+    # longer length scales factor; every evaluation that raised is counted
+    X = rng.uniform(0, 6, size=(8, 1))
+    data = Dataset(X, np.sin(X), noise_std=0.3)
+    operator = OperatorMatrix([[OperatorPoly(1, {(0,): 1, (2,): 1})]])
+    raised = []
+
+    def recording(self, theta, _original=gp._Evidence.__call__):
+        try:
+            return _original(self, theta)
+        except Exception as exc:
+            raised.append(type(exc).__name__)
+            raise
+
+    monkeypatch.setattr(gp._Evidence, "__call__", recording)
+    fit = fit_hyperparameters(data, lambda th: MatrixKernelExpr(operator, th),
+                              SeHyperparams(1.0, 3.0, 0.09),
+                              OptConfig(restarts=4, maxiter=60, seed=2))
+    assert np.isfinite(fit.lml)
+    assert fit.discarded.get("NotPositiveDefinite", 0) > 0
+    assert fit.discarded == Counter(raised)
+    assert sum(fit.discarded.values()) < fit.n_evals
+
+
+@pytest.mark.parametrize("change", ["operator", "order"])
+def test_fit_rejects_family_that_changes_with_theta(rng, change):
+    G, _ = construct_g(make_divergence_operator(2))
+    calls = []
+
+    def family(theta):
+        calls.append(theta)
+        if len(calls) == 1:
+            return MatrixKernelExpr(covariance_operator(G), theta, 2)
+        if change == "operator":
+            return DiagonalKernel(theta, 2, in_dim=2)
+        return MatrixKernelExpr(covariance_operator(G), theta, 0)
+
+    data = Dataset(rng.uniform(0, 4, size=(6, 2)), rng.standard_normal((6, 2)), 0.1)
+    with pytest.raises(ValueError, match="operator or order"):
+        fit_hyperparameters(data, family, SeHyperparams(1.0, 1.0, 0.01),
+                            OptConfig(restarts=1, maxiter=10, seed=0))
+
+
+def test_fit_accepts_equal_operator_built_per_theta(rng):
+    # an operator rebuilt for every theta is == to the first, not the same
+    # object: the fit is the one the cached family gives
+    G, _ = construct_g(make_divergence_operator(2))
+    P = covariance_operator(G)
+    X = rng.uniform(0, 4, size=(10, 2))
+    data = Dataset(X, np.c_[np.sin(X[:, 1]), np.sin(X[:, 0])], noise_std=0.05)
+    kwargs = dict(init=SeHyperparams(1.0, 1.0, 0.0025), opt_config=OptConfig(maxiter=40))
+    cached = fit_hyperparameters(data, field_family(G), **kwargs)
+    rebuilt = fit_hyperparameters(
+        data, lambda th: MatrixKernelExpr(OperatorMatrix(P.entries), th, 2), **kwargs)
+    assert (rebuilt.theta, rebuilt.lml, rebuilt.n_evals) == (
+        cached.theta, cached.lml, cached.n_evals)
 
 
 def test_fit_deterministic_given_seed(rng):

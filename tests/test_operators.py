@@ -173,6 +173,21 @@ def test_poly_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+def test_equal_operators_hash_equal():
+    # each hash is formed once per instance; equal operators built apart
+    # still hash equal, also after the first has been hashed
+    a = OperatorPoly(2, {(2, 0): Fraction(1, 3), (0, 1): -2})
+    first = hash(a)
+    b = OperatorPoly(2, {(0, 1): -2.0, (2, 0): Fraction(2, 6)})
+    assert a == b and hash(a) == hash(b) == first
+    F, G = make_curl_operator_3d(), make_curl_operator_3d()
+    hashed = hash(F)
+    assert F == G and F is not G and hash(G) == hash(F) == hashed
+    assert OperatorMatrix.from_json_dict(json.loads(json.dumps(F.to_json_dict()))) == F
+    assert hash(OperatorMatrix.from_json_dict(F.to_json_dict())) == hashed
+    assert len({a, b, OperatorPoly(2, {(0, 1): -2})}) == 2
+
+
 def test_render():
     G = make_divergence_operator(2)
     assert G.entry(0, 0).render() == "d/dx1"

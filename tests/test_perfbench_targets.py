@@ -82,9 +82,9 @@ def test_gram_builders_call_eval_pairwise_once(monkeypatch):
     # builder that bypassed it would leave the kernels.* metrics at zero
     calls = []
     for cls in (kernels.CurlFreeKernel, kernels.DiagonalKernel, kernels.MatrixKernelExpr):
-        def counted(self, X, X2, _original=cls.eval_pairwise, _cls=cls):
+        def counted(self, *args, _original=cls.eval_pairwise, _cls=cls):
             calls.append(_cls)
-            return _original(self, X, X2)
+            return _original(self, *args)
         monkeypatch.setattr(cls, "eval_pairwise", counted)
 
     theta = kernels.SeHyperparams(1.0, 0.8)
@@ -114,7 +114,8 @@ def test_traced_pipelines_fill_the_layer_counters(tmp_path):
                                 "methods": ["diagonal", "curl_free", "artificial"]}))
     X, B = synthetic_curl_free_field(20, seed=2)
     write_field_csv(tmp_path / "field.csv", X, B)
-    tracer = _load_perfbench("spans").Tracer()
+    spans = _load_perfbench("spans")
+    tracer = spans.Tracer()
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
         codes = [main(["sim-experiment", "--config", str(sim),
                        "--out", str(tmp_path / "sim_out")]),
@@ -129,6 +130,14 @@ def test_traced_pipelines_fill_the_layer_counters(tmp_path):
     assert values["gp.cholesky_jitter.flops"] > 0
     assert values["baseline.augment.joint_dim_max"] > 0
     assert values["baseline.predict_augmented.points"] > 0
+    # each objective evaluation factors a Gram matrix of a kernel family, so
+    # an objective that left the traced layers would show here
+    evals = values["gp.fit_hyperparameters.evals"]
+    assert evals > 0
+    assert values["gp.cholesky_jitter.calls"] >= evals
+    kernel_calls = sum(values[f"{name}.calls"] for name in spans.SPAN_NAMES
+                       if name.startswith("kernels."))
+    assert kernel_calls >= evals
 
 
 @pytest.mark.parametrize("workload", ["sim_div2d", "real_curl3d"])
